@@ -182,24 +182,16 @@ let measure_queue ~min_time round =
   (dt /. n *. 1e9, dw /. n)
 
 (* ------------------------------------------------------------------ *)
-(* Heap vs calendar queue: steady-state churn at fixed populations     *)
+(* Heap churn at fixed populations                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* The engine's actual access pattern is hold-and-churn: a pending set
    of roughly constant size where every pop of the minimum schedules a
-   successor a short gap in the future. That is the regime where a
-   calendar queue's O(1)-amortized buckets could beat the heap's
-   O(log n) sift — so the race is run at several hold sizes, from the
-   engine-typical tens of events up to the incast fan-in thousands.
-   [Eventq] and [Eventq_calendar] share a signature, so one churn loop
-   serves both; the first-class-module boundary boxes the float keys
-   (~6 minor words/op), identically on both sides, so the words columns
-   compare structure-owned allocation only as deltas from that floor.
-
-   Committed verdict (BENCH_simnet.json): the heap wins decisively at
-   the engine-typical population (hold 16), ties at 256 and gives up
-   ~20% at 4096 while the calendar pays resize churn — so the engine
-   keeps {!Simnet.Eventq}. *)
+   successor a short gap in the future. The churn is measured at several
+   hold sizes, from the engine-typical tens of events up to the incast
+   fan-in thousands. The queue is taken as a first-class module, whose
+   boundary boxes the float keys (~6 minor words/op), so the words
+   column is a floor, not structure-owned allocation. *)
 module type QUEUE = sig
   type 'a t
 
@@ -249,30 +241,15 @@ let measure_churn ~min_time (module Q : QUEUE) ~hold =
 let churn_holds = [ 16; 256; 4096 ]
 
 let churn_rows ~min_time () =
-  List.concat_map
+  List.map
     (fun hold ->
       let heap_ns, heap_words =
         measure_churn ~min_time (module Simnet.Eventq : QUEUE) ~hold
       in
-      let cal_ns, cal_words =
-        measure_churn ~min_time (module Simnet.Eventq_calendar : QUEUE) ~hold
-      in
-      [
-        {
-          name = Printf.sprintf "eventq_heap_churn_%d" hold;
-          metrics =
-            [ ("ns_per_op", heap_ns); ("minor_words_per_op", heap_words) ];
-        };
-        {
-          name = Printf.sprintf "eventq_calendar_churn_%d" hold;
-          metrics =
-            [
-              ("ns_per_op", cal_ns);
-              ("minor_words_per_op", cal_words);
-              ("heap_over_calendar", heap_ns /. cal_ns);
-            ];
-        };
-      ])
+      {
+        name = Printf.sprintf "eventq_heap_churn_%d" hold;
+        metrics = [ ("ns_per_op", heap_ns); ("minor_words_per_op", heap_words) ];
+      })
     churn_holds
 
 (* ------------------------------------------------------------------ *)

@@ -84,7 +84,7 @@ let simulate_physical ?(h = 1e-6) ?q_init ?r_init ~t_end p =
   (* Right-hand side of the clamped physical model. At the buffer walls the
      measured queue variation is zero (nothing can be enqueued beyond B,
      nothing dequeued below 0), which is what the switch's counters see. *)
-  let deriv y =
+  let deriv (y : float array) (dst : float array) =
     let q = y.(0) and r = y.(1) in
     let inflow = (n *. r) -. c in
     let dq =
@@ -93,30 +93,30 @@ let simulate_physical ?(h = 1e-6) ?q_init ?r_init ~t_end p =
       else inflow
     in
     let s = sigma_physical p ~q ~dq in
-    let dr = if s >= 0. then gi *. ru *. s else gd *. s *. Float.max r 0. in
-    [| dq; dr |]
+    dst.(0) <- dq;
+    dst.(1) <- (if s >= 0. then gi *. ru *. s else gd *. s *. Float.max r 0.)
   in
-  let field _t y = deriv y in
   let steps = int_of_float (Float.ceil (t_end /. h)) in
   let ts = Array.make (steps + 1) 0. in
   let qs = Array.make (steps + 1) q_init in
   let rs = Array.make (steps + 1) r_init in
   let sg = Array.make (steps + 1) 0. in
-  let state = ref [| q_init; r_init |] in
+  let ws = Ode.workspace 2 in
+  let y = [| q_init; r_init |] in
+  let d = [| 0.; 0. |] in
   let dropped = ref 0. in
   let idle = ref 0. in
   let warmup_end = ref nan in
   let record i t =
     ts.(i) <- t;
-    qs.(i) <- !state.(0);
-    rs.(i) <- !state.(1);
-    let d = deriv !state in
-    sg.(i) <- sigma_physical p ~q:!state.(0) ~dq:d.(0)
+    qs.(i) <- y.(0);
+    rs.(i) <- y.(1);
+    deriv y d;
+    sg.(i) <- sigma_physical p ~q:y.(0) ~dq:d.(0)
   in
   record 0 0.;
   for i = 1 to steps do
-    let t = float_of_int (i - 1) *. h in
-    let y = Ode.step Ode.Rk4 field t !state h in
+    Ode.step_auto_into ws Ode.Rk4 deriv y h y;
     (* wall clamps and accounting *)
     if y.(0) > bsize then begin
       dropped := !dropped +. (y.(0) -. bsize);
@@ -131,7 +131,6 @@ let simulate_physical ?(h = 1e-6) ?q_init ?r_init ~t_end p =
       && y.(0) <= wall_eps
       && (n *. y.(1)) < c
     then idle := !idle +. h;
-    state := y;
     record i (float_of_int i *. h)
   done;
   {

@@ -130,7 +130,7 @@ let simulate ?(h = 1e-6) ?q_init ?r_init ~t_end p =
   (* Clamped physical model: queue variation is zero at the buffer
      walls (the router's counters cannot see bits that were never
      enqueued), but the control law still reads the raw arrival rate. *)
-  let field _t (y : float array) =
+  let field (y : float array) (dst : float array) =
     let q = y.(0) and r = y.(1) in
     let inflow = (n *. r) -. c in
     let dq =
@@ -139,29 +139,27 @@ let simulate ?(h = 1e-6) ?q_init ?r_init ~t_end p =
       else inflow
     in
     let corr = (alpha *. (c -. (n *. r))) -. (beta *. q /. tau) in
-    let dr =
-      match p.variant with
+    dst.(0) <- dq;
+    dst.(1) <-
+      (match p.variant with
       | By_capacity -> r *. corr /. (c *. tau)
-      | By_load -> corr /. (n *. tau)
-    in
-    [| dq; dr |]
+      | By_load -> corr /. (n *. tau))
   in
   let steps = int_of_float (Float.ceil (t_end /. h)) in
   let ts = Array.make (steps + 1) 0. in
   let qs = Array.make (steps + 1) q_init in
   let rs = Array.make (steps + 1) r_init in
-  let state = ref [| q_init; r_init |] in
+  let ws = Ode.workspace 2 in
+  let y = [| q_init; r_init |] in
   let dropped = ref 0. in
   for i = 1 to steps do
-    let t = float_of_int (i - 1) *. h in
-    let y = Ode.step Ode.Rk4 field t !state h in
+    Ode.step_auto_into ws Ode.Rk4 field y h y;
     if y.(0) > bsize then begin
       dropped := !dropped +. (y.(0) -. bsize);
       y.(0) <- bsize
     end;
     if y.(0) < 0. then y.(0) <- 0.;
     if y.(1) < 0. then y.(1) <- 0.;
-    state := y;
     ts.(i) <- float_of_int i *. h;
     qs.(i) <- y.(0);
     rs.(i) <- y.(1)

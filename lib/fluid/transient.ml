@@ -34,7 +34,7 @@ let measure ?horizon ?(band = 0.05) p =
   in
   let sys = Model.normalized_system p in
   let threshold = band *. p.Params.q0 in
-  (* Streaming fold over the trajectory: the scan solver hands every
+  (* Streaming fold over the trajectory: the streaming sink hands every
      sample the recording integrator would have stored (bit for bit)
      through one reused buffer, so nothing is retained per step. The
      guard set replicates [Trajectory.events_for] for the normalized
@@ -47,9 +47,9 @@ let measure ?horizon ?(band = 0.05) p =
       gs_dirs = [| Ode.Both; Ode.Both |];
       gs_terminal = [| false; false |];
       gs_eval =
-        (fun pt dst ->
-          dst.(0) <- -.(pt.(1) +. (k *. pt.(2)));
-          dst.(1) <- pt.(2));
+        (fun e pt dst ->
+          if e = 0 then dst.(0) <- -.(pt.(1) +. (k *. pt.(2)))
+          else dst.(1) <- pt.(2));
     }
   in
   (* fold state: 0 = x_max, 1 = x_min, 2 = min x over the tail from the
@@ -75,7 +75,7 @@ let measure ?horizon ?(band = 0.05) p =
   let n_axis = ref 0 in
   let mags = ref (Array.make 32 0.) in
   let n_mags = ref 0 in
-  let on_event_raw e pt =
+  let on_event e pt =
     if e = 0 then begin
       if Float.is_nan acc.(3) then acc.(3) <- pt.(0)
     end
@@ -93,15 +93,13 @@ let measure ?horizon ?(band = 0.05) p =
       end
     end
   in
-  (* drive the scan solver directly ([Trajectory.scan] would rebuild
-     its crossing lists from the occurrence records we are here to
-     avoid); same tolerances, so the samples are bit-identical *)
-  let (_ : Ode.scan_result) =
-    Ode.solve_adaptive_auto_scan ~rtol:1e-9 ~atol:1e-12 ~guards
-      ~record_occs:false ~on_event_raw ~on_point ~t_end:horizon
-      (Phaseplane.System.to_auto sys) ~t0:0.
-      ~y0:(Vec2.to_array (Model.start_point p))
-  in
+  (* drive the streaming sink directly (a recorded trajectory would
+     rebuild its crossing lists from the occurrence records we are here
+     to avoid); same tolerances, so the samples are bit-identical *)
+  Ode.solve (Ode.Adaptive (1e-9, 1e-12)) guards
+    (Ode.Stream { on_point; on_event })
+    (Phaseplane.System.to_auto sys) ~t0:0. ~t_end:horizon
+    ~y0:(Vec2.to_array (Model.start_point p));
   let overshoot = acc.(0) in
   let undershoot =
     (* x_min after the first switching — [Series.tail_from] keeps

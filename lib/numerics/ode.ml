@@ -31,110 +31,410 @@ type solution = {
   n_rejected : int;
 }
 
+type solver = Fixed of method_ * float | Adaptive of float * float
+
+(* Input validation shared by every driver. A NaN step never satisfies
+   the end-of-horizon test ([Float.min] propagates it), so the loop
+   would append NaN points until memory runs out; a NaN horizon silently
+   yields a one-point solution. Both are rejected up front. A fixed-step
+   run with [t_end <= t0] returns the initial point; an adaptive one
+   raises. *)
+let validate name solver ~t0 ~t_end =
+  if not (Float.is_finite t0 && Float.is_finite t_end) then
+    invalid_arg (name ^ ": t0 and t_end must be finite");
+  match solver with
+  | Fixed (_, h) ->
+      if not (h > 0. && Float.is_finite h) then
+        invalid_arg (name ^ ": h must be finite and > 0")
+  | Adaptive _ -> if t_end <= t0 then invalid_arg (name ^ ": t_end <= t0")
+
+(* Step-size controller constants of both adaptive drivers. *)
+let h_min = 1e-14
+let max_steps = 2_000_000
+
 let axpy out a x y =
   (* out.(i) = y.(i) + a * x.(i) *)
   for i = 0 to Array.length y - 1 do
     out.(i) <- y.(i) +. (a *. x.(i))
   done
 
-(* --- in-place fast path --------------------------------------------------- *)
+(* === reference tier =======================================================
 
-type field_into = float -> float array -> float array -> unit
+   Plain allocating solvers: every step returns fresh arrays and the
+   driver is generic over closures. They are the oracle the production
+   tier below is tested against bit for bit, and the solvers behind
+   [convergence_order] and the telemetry hooks. *)
+
+let step m f t y h =
+  let n = Array.length y in
+  match m with
+  | Euler ->
+      let k1 = f t y in
+      let out = Array.make n 0. in
+      axpy out h k1 y;
+      out
+  | Heun ->
+      let k1 = f t y in
+      let tmp = Array.make n 0. in
+      axpy tmp h k1 y;
+      let k2 = f (t +. h) tmp in
+      Array.init n (fun i -> y.(i) +. (h /. 2. *. (k1.(i) +. k2.(i))))
+  | Rk4 ->
+      let tmp = Array.make n 0. in
+      let k1 = f t y in
+      axpy tmp (h /. 2.) k1 y;
+      let k2 = f (t +. (h /. 2.)) tmp in
+      axpy tmp (h /. 2.) k2 y;
+      let k3 = f (t +. (h /. 2.)) tmp in
+      axpy tmp h k3 y;
+      let k4 = f (t +. h) tmp in
+      Array.init n (fun i ->
+          y.(i) +. (h /. 6. *. (k1.(i) +. (2. *. k2.(i)) +. (2. *. k3.(i)) +. k4.(i))))
+
+(* --- event helpers ------------------------------------------------------ *)
+
+let fires dir g_prev g_next =
+  if g_prev = 0. then false
+  else
+    match dir with
+    | Up -> g_prev < 0. && g_next >= 0.
+    | Down -> g_prev > 0. && g_next <= 0.
+    | Both -> g_prev *. g_next <= 0. && g_next <> g_prev
+
+(* Localize the event inside the step [t, t+h] starting at state [y], using
+   the provided single-step function to evaluate intermediate states.
+   Returns (t_event, y_event). *)
+let localize step_fn ev t y h =
+  let state_at_frac s = step_fn t y (s *. h) in
+  let phi s =
+    let ys = state_at_frac s in
+    ev.guard (t +. (s *. h)) ys
+  in
+  let s_root =
+    try Roots.bisect ~tol:1e-13 ~max_iter:100 phi 1e-15 1.
+    with Roots.No_bracket _ -> 1.
+  in
+  let y_ev = state_at_frac s_root in
+  (t +. (s_root *. h), y_ev)
+
+(* Allocation-free localization: same bisection, but intermediate states
+   are written into a caller-provided scratch buffer instead of being
+   allocated per evaluation — the localizer of lock-step front drivers
+   that live outside this module. Bit-identical to [localize] when the
+   in-place step function writes the same bits the allocating one
+   returns. Only the event state itself is allocated (the caller keeps
+   it). *)
+let localize_into (single_into : float -> float array -> float -> float array -> unit)
+    ev t y h scratch =
+  let phi s =
+    single_into t y (s *. h) scratch;
+    ev.guard (t +. (s *. h)) scratch
+  in
+  let s_root =
+    try Roots.bisect ~tol:1e-13 ~max_iter:100 phi 1e-15 1.
+    with Roots.No_bracket _ -> 1.
+  in
+  single_into t y (s_root *. h) scratch;
+  (t +. (s_root *. h), Array.copy scratch)
+
+(* --- generic driver ------------------------------------------------------ *)
+
+type driver_step = float -> float array -> float -> float array
+(* [driver_step t y h] = state after one step of size h from (t, y).
+   Must return a freshly allocated array (never a reused buffer): the
+   driver stores the result in the solution without copying. *)
+
+let run_driver ~(single : driver_step)
+    ~(next_h : float -> float array -> float -> float * float * bool)
+    ?(events = []) ?monitor ~t_end ~t0 ~y0 () =
+  (* [next_h t y h_try] returns (h_accepted, h_next_suggestion, accepted?).
+     For fixed-step drivers it always accepts. *)
+  (* The trajectory accumulates in growable arrays rather than lists:
+     the time column stays unboxed (a [float :: _] cons boxes the head)
+     and the state column costs one pointer store per step. Guards live
+     in parallel arrays, with [g_next] recycled into [g_prev] after an
+     accepted step — the original re-evaluated every guard a second
+     time for the update; guards are pure, so reusing the first
+     evaluation changes nothing. *)
+  let cap0 = 64 in
+  let ts_buf = ref (Array.make cap0 0.) in
+  let ys_buf = ref (Array.make cap0 [||]) in
+  let len = ref 0 in
+  let push t y =
+    if !len = Array.length !ts_buf then begin
+      let c = 2 * Array.length !ts_buf in
+      let ts' = Array.make c 0. and ys' = Array.make c [||] in
+      Array.blit !ts_buf 0 ts' 0 !len;
+      Array.blit !ys_buf 0 ys' 0 !len;
+      ts_buf := ts';
+      ys_buf := ys'
+    end;
+    !ts_buf.(!len) <- t;
+    !ys_buf.(!len) <- y;
+    incr len
+  in
+  push t0 (Array.copy y0);
+  let occs = ref [] in
+  let terminated = ref None in
+  let n_steps = ref 0 in
+  let n_rejected = ref 0 in
+  let evs = Array.of_list events in
+  let n_ev = Array.length evs in
+  let g_prev = Array.make n_ev 0. in
+  let g_next = Array.make n_ev 0. in
+  for e = 0 to n_ev - 1 do
+    g_prev.(e) <- evs.(e).guard t0 y0
+  done;
+  let t = ref t0 and y = ref (Array.copy y0) in
+  let h_cur = ref nan in
+  (* h_cur is set by the caller through next_h's suggestion channel: we seed
+     it with (t_end - t0) and let next_h clamp. *)
+  h_cur := t_end -. t0;
+  let continue_ = ref (t_end > t0) in
+  while !continue_ do
+    let remaining = t_end -. !t in
+    if remaining <= 1e-15 *. (1. +. Float.abs t_end) then continue_ := false
+    else begin
+      let h_try = Float.min !h_cur remaining in
+      let h_acc, h_next, accepted = next_h !t !y h_try in
+      if not accepted then begin
+        incr n_rejected;
+        (match monitor with
+        | Some m -> m.on_reject !t h_try
+        | None -> ());
+        h_cur := h_next
+      end
+      else begin
+        incr n_steps;
+        let y_next = single !t !y h_acc in
+        let t_next = !t +. h_acc in
+        (match monitor with
+        | Some m -> m.on_step t_next h_acc
+        | None -> ());
+        (* event detection over this accepted step *)
+        for e = 0 to n_ev - 1 do
+          g_next.(e) <- evs.(e).guard t_next y_next
+        done;
+        let stop_here = ref None in
+        for e = 0 to n_ev - 1 do
+          let ev = evs.(e) in
+          if fires ev.dir g_prev.(e) g_next.(e) then begin
+            let t_ev, y_ev = localize single ev !t !y h_acc in
+            let oc = { oc_name = ev.ev_name; oc_t = t_ev; oc_y = y_ev } in
+            occs := oc :: !occs;
+            if ev.terminal then
+              match !stop_here with
+              | Some (prev_oc : occurrence) when prev_oc.oc_t <= t_ev -> ()
+              | Some _ | None -> stop_here := Some oc
+          end
+        done;
+        (match !stop_here with
+        | Some oc ->
+            terminated := Some oc;
+            push oc.oc_t (Array.copy oc.oc_y);
+            continue_ := false
+        | None ->
+            t := t_next;
+            y := y_next;
+            push t_next y_next;
+            Array.blit g_next 0 g_prev 0 n_ev;
+            h_cur := h_next)
+      end
+    end
+  done;
+  {
+    ts = Array.sub !ts_buf 0 !len;
+    ys = Array.sub !ys_buf 0 !len;
+    occs = List.rev !occs;
+    terminated = !terminated;
+    n_steps = !n_steps;
+    n_rejected = !n_rejected;
+  }
+
+let solve_fixed ?(method_ = Rk4) ?(events = []) ?monitor ~h ~t_end f ~t0 ~y0 =
+  validate "Ode.solve_fixed" (Fixed (method_, h)) ~t0 ~t_end;
+  let single t y h = step method_ f t y h in
+  let next_h _t _y h_try = (Float.min h_try h, h, true) in
+  run_driver ~single ~next_h ~events ?monitor ~t_end ~t0 ~y0 ()
+
+(* --- Dormand–Prince 5(4) ------------------------------------------------- *)
+
+let dopri5_step f t y h =
+  let n = Array.length y in
+  let stage coeffs =
+    let tmp = Array.copy y in
+    List.iter
+      (fun (c, (k : float array)) ->
+        for i = 0 to n - 1 do
+          tmp.(i) <- tmp.(i) +. (h *. c *. k.(i))
+        done)
+      coeffs;
+    tmp
+  in
+  let k1 = f t y in
+  let k2 = f (t +. (h /. 5.)) (stage [ (1. /. 5., k1) ]) in
+  let k3 =
+    f (t +. (3. *. h /. 10.)) (stage [ (3. /. 40., k1); (9. /. 40., k2) ])
+  in
+  let k4 =
+    f
+      (t +. (4. *. h /. 5.))
+      (stage [ (44. /. 45., k1); (-56. /. 15., k2); (32. /. 9., k3) ])
+  in
+  let k5 =
+    f
+      (t +. (8. *. h /. 9.))
+      (stage
+         [
+           (19372. /. 6561., k1);
+           (-25360. /. 2187., k2);
+           (64448. /. 6561., k3);
+           (-212. /. 729., k4);
+         ])
+  in
+  let k6 =
+    f (t +. h)
+      (stage
+         [
+           (9017. /. 3168., k1);
+           (-355. /. 33., k2);
+           (46732. /. 5247., k3);
+           (49. /. 176., k4);
+           (-5103. /. 18656., k5);
+         ])
+  in
+  let y5 =
+    Array.init n (fun i ->
+        y.(i)
+        +. (h
+            *. ((35. /. 384. *. k1.(i))
+                +. (500. /. 1113. *. k3.(i))
+                +. (125. /. 192. *. k4.(i))
+                +. (-2187. /. 6784. *. k5.(i))
+                +. (11. /. 84. *. k6.(i)))))
+  in
+  let k7 = f (t +. h) y5 in
+  let err = ref 0. in
+  for i = 0 to n - 1 do
+    let y4i =
+      y.(i)
+      +. (h
+          *. ((5179. /. 57600. *. k1.(i))
+              +. (7571. /. 16695. *. k3.(i))
+              +. (393. /. 640. *. k4.(i))
+              +. (-92097. /. 339200. *. k5.(i))
+              +. (187. /. 2100. *. k6.(i))
+              +. (1. /. 40. *. k7.(i))))
+    in
+    err := Float.max !err (Float.abs (y5.(i) -. y4i))
+  done;
+  (y5, !err)
+
+let solve_adaptive ?(rtol = 1e-8) ?(atol = 1e-10) ?(events = []) ?monitor
+    ~t_end f ~t0 ~y0 =
+  validate "Ode.solve_adaptive" (Adaptive (rtol, atol)) ~t0 ~t_end;
+  let span = t_end -. t0 in
+  let h_max = span in
+  let budget = ref max_steps in
+  let single t y h =
+    let y', _ = dopri5_step f t y h in
+    y'
+  in
+  let h_suggest = ref (span /. 100.) in
+  let next_h t y h_try =
+    decr budget;
+    if !budget <= 0 then failwith "Ode.solve_adaptive: max_steps exhausted";
+    let h_try = Float.min h_try !h_suggest in
+    let h_try = Float.max h_try h_min in
+    let y', err = dopri5_step f t y h_try in
+    let scale = ref atol in
+    Array.iteri
+      (fun i yi ->
+        scale :=
+          Float.max !scale (rtol *. Float.max (Float.abs yi) (Float.abs y'.(i))))
+      y;
+    let ratio = err /. !scale in
+    (* a wildly oversized trial step can overflow the stage values and
+       produce a NaN error estimate; treat it as an infinitely bad step so
+       the controller shrinks instead of propagating the NaN *)
+    let ratio = if Float.is_finite ratio then ratio else infinity in
+    if ratio <= 1. || h_try <= h_min *. 1.0001 then begin
+      let grow =
+        if ratio <= 0. then 5. else Float.min 5. (0.9 *. (ratio ** -0.2))
+      in
+      h_suggest := Float.min h_max (h_try *. Float.max 1. grow);
+      (h_try, !h_suggest, true)
+    end
+    else begin
+      let shrink = Float.max 0.1 (0.9 *. (ratio ** -0.25)) in
+      let h_new = Float.max h_min (h_try *. shrink) in
+      if h_new <= h_min && h_try <= h_min *. 1.0001 then
+        failwith "Ode.solve_adaptive: step size underflow";
+      h_suggest := h_new;
+      (h_try, h_new, false)
+    end
+  in
+  run_driver ~single ~next_h ~events ?monitor ~t_end ~t0 ~y0 ()
+
+(* === production tier ======================================================
+
+   One workspace, one in-place RK stepper, one private in-place
+   Dormand–Prince stepper and one driver. Every field here is
+   autonomous ([field_auto] takes no time argument): on non-flambda
+   [ocamlopt] a float crossing a closure boundary is boxed, so no float
+   crosses any call boundary on the per-step path — step sizes travel
+   through the workspace mailbox [hp], the stage times are never
+   materialized, and the stage combinations are written out inline
+   rather than through [axpy]. Every expression mirrors the reference
+   tier above, so the results are bit-for-bit identical (locked down by
+   the test suite). *)
+
 type field_auto = float array -> float array -> unit
 
 type workspace = {
-  wk1 : float array;
-  wk2 : float array;
-  wk3 : float array;
-  wk4 : float array;
-  wtmp : float array;
+  k1 : float array;
+  k2 : float array;
+  k3 : float array;
+  k4 : float array;
+  k5 : float array;
+  k6 : float array;
+  k7 : float array;
+  tmp : float array;  (* stage-state scratch *)
+  hp : float array;
+      (* 1-slot step-size mailbox: a [float] argument crossing a
+         non-inlined call boundary is boxed, a float-array store is not *)
 }
 
 let workspace dim =
   if dim < 1 then invalid_arg "Ode.workspace: dim < 1";
+  let z () = Array.make dim 0. in
   {
-    wk1 = Array.make dim 0.;
-    wk2 = Array.make dim 0.;
-    wk3 = Array.make dim 0.;
-    wk4 = Array.make dim 0.;
-    wtmp = Array.make dim 0.;
+    k1 = z ();
+    k2 = z ();
+    k3 = z ();
+    k4 = z ();
+    k5 = z ();
+    k6 = z ();
+    k7 = z ();
+    tmp = z ();
+    hp = [| 0. |];
   }
 
-let workspace_dim ws = Array.length ws.wk1
-
-let field_into_of_field (f : field) : field_into =
- fun t y dst ->
-  let v = f t y in
-  Array.blit v 0 dst 0 (Array.length dst)
-
-let field_into_of_auto (f : field_auto) : field_into = fun _t y dst -> f y dst
-
-(* The arithmetic below mirrors [step] expression-for-expression so the
-   results are bit-for-bit identical (floating point is deterministic);
-   the equivalence is locked down by the test suite. The stage loops are
-   written out inline (rather than calling [axpy]) because a non-inlined
-   call with a float argument boxes it — the only remaining per-step
-   allocation on this path is the stage-time boxing at the [field_into]
-   closure calls, and [step_auto_into] eliminates even that. *)
-
-let check_ws ws y name =
-  if Array.length y > Array.length ws.wk1 then
-    invalid_arg (name ^ ": state larger than workspace")
-
-let step_into ws m (f : field_into) t y h dst =
-  check_ws ws y "Ode.step_into";
+(* One explicit RK step of size [ws.hp.(0)] from [y] into [dst]
+   ([dst == y] is allowed: each slot of [y] is read for the last time
+   in the statement that writes the same slot of [dst]). *)
+let rk_core ws m (f : field_auto) y dst =
   let n = Array.length y in
+  let h = ws.hp.(0) in
   match m with
   | Euler ->
-      let k1 = ws.wk1 in
-      f t y k1;
-      for i = 0 to n - 1 do
-        dst.(i) <- y.(i) +. (h *. k1.(i))
-      done
-  | Heun ->
-      let k1 = ws.wk1 and k2 = ws.wk2 and tmp = ws.wtmp in
-      f t y k1;
-      for i = 0 to n - 1 do
-        tmp.(i) <- y.(i) +. (h *. k1.(i))
-      done;
-      f (t +. h) tmp k2;
-      for i = 0 to n - 1 do
-        dst.(i) <- y.(i) +. (h /. 2. *. (k1.(i) +. k2.(i)))
-      done
-  | Rk4 ->
-      let k1 = ws.wk1 and k2 = ws.wk2 and k3 = ws.wk3 and k4 = ws.wk4 in
-      let tmp = ws.wtmp in
-      f t y k1;
-      for i = 0 to n - 1 do
-        tmp.(i) <- y.(i) +. (h /. 2. *. k1.(i))
-      done;
-      f (t +. (h /. 2.)) tmp k2;
-      for i = 0 to n - 1 do
-        tmp.(i) <- y.(i) +. (h /. 2. *. k2.(i))
-      done;
-      f (t +. (h /. 2.)) tmp k3;
-      for i = 0 to n - 1 do
-        tmp.(i) <- y.(i) +. (h *. k3.(i))
-      done;
-      f (t +. h) tmp k4;
-      for i = 0 to n - 1 do
-        dst.(i) <-
-          y.(i)
-          +. (h /. 6. *. (k1.(i) +. (2. *. k2.(i)) +. (2. *. k3.(i)) +. k4.(i)))
-      done
-
-let step_auto_into ws m (f : field_auto) y h dst =
-  check_ws ws y "Ode.step_auto_into";
-  let n = Array.length y in
-  match m with
-  | Euler ->
-      let k1 = ws.wk1 in
+      let k1 = ws.k1 in
       f y k1;
       for i = 0 to n - 1 do
         dst.(i) <- y.(i) +. (h *. k1.(i))
       done
   | Heun ->
-      let k1 = ws.wk1 and k2 = ws.wk2 and tmp = ws.wtmp in
+      let k1 = ws.k1 and k2 = ws.k2 and tmp = ws.tmp in
       f y k1;
       for i = 0 to n - 1 do
         tmp.(i) <- y.(i) +. (h *. k1.(i))
@@ -144,8 +444,8 @@ let step_auto_into ws m (f : field_auto) y h dst =
         dst.(i) <- y.(i) +. (h /. 2. *. (k1.(i) +. k2.(i)))
       done
   | Rk4 ->
-      let k1 = ws.wk1 and k2 = ws.wk2 and k3 = ws.wk3 and k4 = ws.wk4 in
-      let tmp = ws.wtmp in
+      let k1 = ws.k1 and k2 = ws.k2 and k3 = ws.k3 and k4 = ws.k4 in
+      let tmp = ws.tmp in
       f y k1;
       for i = 0 to n - 1 do
         tmp.(i) <- y.(i) +. (h /. 2. *. k1.(i))
@@ -165,6 +465,392 @@ let step_auto_into ws m (f : field_auto) y h dst =
           +. (h /. 6. *. (k1.(i) +. (2. *. k2.(i)) +. (2. *. k3.(i)) +. k4.(i)))
       done
 
+let step_auto_into ws m f y h dst =
+  if Array.length y > Array.length ws.k1 then
+    invalid_arg "Ode.step_auto_into: state larger than workspace";
+  ws.hp.(0) <- h;
+  rk_core ws m f y dst
+
+(* One Dormand–Prince 5(4) step of size [ws.hp.(0)] from [y]: the
+   5th-order solution goes to [dst] (which must not alias [y]; it is
+   passed back to [f] for the FSAL stage) and the embedded error
+   estimate to [err.(0)] (a [ref float] would box on every store). *)
+let dopri5_core ws (f : field_auto) y dst err =
+  let n = Array.length y in
+  let h = ws.hp.(0) in
+  let k1 = ws.k1 and k2 = ws.k2 and k3 = ws.k3 and k4 = ws.k4 in
+  let k5 = ws.k5 and k6 = ws.k6 and k7 = ws.k7 and tmp = ws.tmp in
+  f y k1;
+  for i = 0 to n - 1 do
+    tmp.(i) <- y.(i) +. (h *. (1. /. 5.) *. k1.(i))
+  done;
+  f tmp k2;
+  for i = 0 to n - 1 do
+    tmp.(i) <-
+      y.(i) +. (h *. (3. /. 40.) *. k1.(i)) +. (h *. (9. /. 40.) *. k2.(i))
+  done;
+  f tmp k3;
+  for i = 0 to n - 1 do
+    tmp.(i) <-
+      y.(i)
+      +. (h *. (44. /. 45.) *. k1.(i))
+      +. (h *. (-56. /. 15.) *. k2.(i))
+      +. (h *. (32. /. 9.) *. k3.(i))
+  done;
+  f tmp k4;
+  for i = 0 to n - 1 do
+    tmp.(i) <-
+      y.(i)
+      +. (h *. (19372. /. 6561.) *. k1.(i))
+      +. (h *. (-25360. /. 2187.) *. k2.(i))
+      +. (h *. (64448. /. 6561.) *. k3.(i))
+      +. (h *. (-212. /. 729.) *. k4.(i))
+  done;
+  f tmp k5;
+  for i = 0 to n - 1 do
+    tmp.(i) <-
+      y.(i)
+      +. (h *. (9017. /. 3168.) *. k1.(i))
+      +. (h *. (-355. /. 33.) *. k2.(i))
+      +. (h *. (46732. /. 5247.) *. k3.(i))
+      +. (h *. (49. /. 176.) *. k4.(i))
+      +. (h *. (-5103. /. 18656.) *. k5.(i))
+  done;
+  f tmp k6;
+  for i = 0 to n - 1 do
+    dst.(i) <-
+      y.(i)
+      +. (h
+          *. ((35. /. 384. *. k1.(i))
+              +. (500. /. 1113. *. k3.(i))
+              +. (125. /. 192. *. k4.(i))
+              +. (-2187. /. 6784. *. k5.(i))
+              +. (11. /. 84. *. k6.(i))))
+  done;
+  f dst k7;
+  err.(0) <- 0.;
+  for i = 0 to n - 1 do
+    let y4i =
+      y.(i)
+      +. (h
+          *. ((5179. /. 57600. *. k1.(i))
+              +. (7571. /. 16695. *. k3.(i))
+              +. (393. /. 640. *. k4.(i))
+              +. (-92097. /. 339200. *. k5.(i))
+              +. (187. /. 2100. *. k6.(i))
+              +. (1. /. 40. *. k7.(i))))
+    in
+    err.(0) <- Float.max err.(0) (Float.abs (dst.(i) -. y4i))
+  done
+
+(* [dst.(d + i) <- src.(s + i)] for [i < n], unchecked: only for the
+   driver's own buffers, whose sizes it fixes from [y0]. The driver moves
+   small states several times per step; [Array.blit] is a C call whose
+   entry cost dwarfs a 2-element copy, a loop is not. *)
+let[@inline] copy (src : float array) s (dst : float array) d n =
+  for i = 0 to n - 1 do
+    Array.unsafe_set dst (d + i) (Array.unsafe_get src (s + i))
+  done
+
+type guard_spec = {
+  gs_names : string array;
+  gs_dirs : direction array;
+  gs_terminal : bool array;
+  gs_eval : int -> float array -> float array -> unit;
+}
+
+let guards_of_events ~dim events =
+  let evs = Array.of_list events in
+  let y_view = Array.make dim 0. in
+  {
+    gs_names = Array.map (fun e -> e.ev_name) evs;
+    gs_dirs = Array.map (fun e -> e.dir) evs;
+    gs_terminal = Array.map (fun e -> e.terminal) evs;
+    gs_eval =
+      (fun e pt dst ->
+        for i = 0 to dim - 1 do
+          y_view.(i) <- pt.(i + 1)
+        done;
+        dst.(e) <- evs.(e).guard pt.(0) y_view);
+  }
+
+type _ sink =
+  | Record : solution sink
+  | Stream : {
+      on_point : float array -> unit;
+      on_event : int -> float array -> unit;
+    }
+      -> unit sink
+
+(* The production driver. The step sequence, the controller
+   expressions, the event detection and the bisection are those of the
+   reference solvers, so every sample, occurrence and counter carries
+   the same bits. What differs is allocation: the state ping-pongs
+   between two buffers, each sample is packed into one reused
+   [[|t; y...|]] buffer [pt] that the guards and the sink read, and the
+   bisection arguments travel through slot arrays — so with a
+   closure-free [guard_spec] and the streaming sink a run allocates
+   nothing per step. *)
+let solve (type r) solver (gs : guard_spec) (sink : r sink) (f : field_auto)
+    ~t0 ~t_end ~y0 : r =
+  validate "Ode.solve" solver ~t0 ~t_end;
+  let span = t_end -. t0 in
+  let dim = Array.length y0 in
+  let ws = workspace dim in
+  let err_acc = [| 0. |] in
+  let trial = Array.make dim 0. in
+  let h_suggest = [| span /. 100. |] in
+  let scale_acc = [| 0. |] in
+  let budget = ref max_steps in
+  let n_ev = Array.length gs.gs_names in
+  let g_prev = Array.make n_ev 0. in
+  let g_next = Array.make n_ev 0. in
+  let g_loc = Array.make n_ev 0. in
+  let pt = Array.make (dim + 1) 0. in
+  let ya = ref (Array.copy y0) in
+  let yb = ref (Array.make dim 0.) in
+  let scratch = Array.make dim 0. in
+  let tcur = [| t0 |] in
+  let hcur = [| span |] in
+  (* one step of size [ws.hp.(0)] from the current state into [dst] *)
+  let advance dst =
+    match solver with
+    | Fixed (m, _) -> rk_core ws m f !ya dst
+    | Adaptive _ -> dopri5_core ws f !ya dst err_acc
+  in
+  (* bisection mailboxes: 0=lo 1=hi 2=flo 3=s-argument 4=phi-result
+     5=h of the step under localization *)
+  let bst = Array.make 6 0. in
+  let bei = [| 0 |] in
+  (* phi(s) of [localize]: step to fraction s of the current step, then
+     evaluate the firing guard there. Argument and result travel through
+     [bst] so no float is boxed per bisection iteration. *)
+  let eval_phi () =
+    let s = bst.(3) in
+    let h = bst.(5) in
+    ws.hp.(0) <- s *. h;
+    advance scratch;
+    pt.(0) <- tcur.(0) +. (s *. h);
+    copy scratch 0 pt 1 dim;
+    let e = bei.(0) in
+    gs.gs_eval e pt g_loc;
+    bst.(4) <- g_loc.(e)
+  in
+  (* the recorded trajectory, in growable arrays (Record sink only) *)
+  let ts_buf = ref (Array.make 64 0.) in
+  let ys_buf = ref (Array.make 64 [||]) in
+  let len = ref 0 in
+  (* hand the packed sample [pt] to the sink *)
+  let emit () =
+    match sink with
+    | Stream { on_point; _ } -> on_point pt
+    | Record ->
+        if !len = Array.length !ts_buf then begin
+          let c = 2 * !len in
+          let ts' = Array.make c 0. and ys' = Array.make c [||] in
+          Array.blit !ts_buf 0 ts' 0 !len;
+          Array.blit !ys_buf 0 ys' 0 !len;
+          ts_buf := ts';
+          ys_buf := ys'
+        end;
+        !ts_buf.(!len) <- pt.(0);
+        !ys_buf.(!len) <- Array.sub pt 1 dim;
+        incr len
+  in
+  let recording = match sink with Record -> true | Stream _ -> false in
+  let occs = ref [] in
+  let terminated = ref None in
+  let n_steps = ref 0 in
+  let n_rejected = ref 0 in
+  (* [fires] by index: same predicate as [fires], but the guard values
+     are read from the arrays here rather than passed as float
+     arguments — a non-inlined float-argument call would box both
+     floats on every step of every guard *)
+  let fires_at e =
+    let gp = g_prev.(e) and gn = g_next.(e) in
+    if gp = 0. then false
+    else
+      match gs.gs_dirs.(e) with
+      | Up -> gp < 0. && gn >= 0.
+      | Down -> gp > 0. && gn <= 0.
+      | Both -> gp *. gn <= 0. && gn <> gp
+  in
+  pt.(0) <- t0;
+  copy y0 0 pt 1 dim;
+  for e = 0 to n_ev - 1 do
+    gs.gs_eval e pt g_prev
+  done;
+  emit ();
+  let continue_ = ref (t_end > t0) in
+  while !continue_ do
+    let remaining = t_end -. tcur.(0) in
+    if remaining <= 1e-15 *. (1. +. Float.abs t_end) then continue_ := false
+    else begin
+      let h_try0 = Float.min hcur.(0) remaining in
+      (* decide the step; an accepted one leaves its size in [ws.hp]
+         and its end state in [!yb] *)
+      let accepted =
+        match solver with
+        | Fixed (_, h) ->
+            ws.hp.(0) <- Float.min h_try0 h;
+            advance !yb;
+            hcur.(0) <- h;
+            true
+        | Adaptive (rtol, atol) ->
+            decr budget;
+            if !budget <= 0 then failwith "Ode.solve: max_steps exhausted";
+            let h_try = Float.min h_try0 h_suggest.(0) in
+            let h_try = Float.max h_try h_min in
+            ws.hp.(0) <- h_try;
+            advance trial;
+            let err = err_acc.(0) in
+            scale_acc.(0) <- atol;
+            for i = 0 to dim - 1 do
+              scale_acc.(0) <-
+                Float.max scale_acc.(0)
+                  (rtol *. Float.max (Float.abs !ya.(i)) (Float.abs trial.(i)))
+            done;
+            let ratio = err /. scale_acc.(0) in
+            let ratio = if Float.is_finite ratio then ratio else infinity in
+            if ratio <= 1. || h_try <= h_min *. 1.0001 then begin
+              let grow =
+                if ratio <= 0. then 5. else Float.min 5. (0.9 *. (ratio ** -0.2))
+              in
+              h_suggest.(0) <- Float.min span (h_try *. Float.max 1. grow);
+              (* The recording sink evaluates the accepted step a second
+                 time, exactly as the reference driver does: the RHS
+                 evaluation count is part of published output (the a3
+                 solver ablation). The streaming sink keeps the trial
+                 state. The stepper is deterministic in (y, h), so both
+                 carry the same bits. *)
+              (if recording then advance !yb
+               else copy trial 0 !yb 0 dim);
+              hcur.(0) <- h_suggest.(0);
+              true
+            end
+            else begin
+              let shrink = Float.max 0.1 (0.9 *. (ratio ** -0.25)) in
+              let h_new = Float.max h_min (h_try *. shrink) in
+              if h_new <= h_min && h_try <= h_min *. 1.0001 then
+                failwith "Ode.solve: step size underflow";
+              h_suggest.(0) <- h_new;
+              incr n_rejected;
+              hcur.(0) <- h_new;
+              false
+            end
+      in
+      if accepted then begin
+        incr n_steps;
+        let h_acc = ws.hp.(0) in
+        let t_next = tcur.(0) +. h_acc in
+        if n_ev > 0 then begin
+          pt.(0) <- t_next;
+          copy !yb 0 pt 1 dim;
+          for e = 0 to n_ev - 1 do
+            gs.gs_eval e pt g_next
+          done
+        end;
+        let stop_here = ref None in
+        for e = 0 to n_ev - 1 do
+          if fires_at e then begin
+            (* inline [localize]'s
+               [Roots.bisect ~tol:1e-13 ~max_iter:100 phi 1e-15 1.]
+               (No_bracket falls back to the end of the step) *)
+            bst.(5) <- h_acc;
+            bei.(0) <- e;
+            bst.(3) <- 1e-15;
+            eval_phi ();
+            let fa = bst.(4) in
+            bst.(3) <- 1.;
+            eval_phi ();
+            let fb = bst.(4) in
+            let s_root =
+              if fa = 0. then 1e-15
+              else if fb = 0. then 1.
+              else if fa *. fb > 0. then 1.
+              else begin
+                bst.(0) <- 1e-15;
+                bst.(1) <- 1.;
+                bst.(2) <- fa;
+                let i = ref 0 in
+                while bst.(1) -. bst.(0) > 1e-13 && !i < 100 do
+                  incr i;
+                  let mid = 0.5 *. (bst.(0) +. bst.(1)) in
+                  bst.(3) <- mid;
+                  eval_phi ();
+                  let fm = bst.(4) in
+                  if fm = 0. then begin
+                    bst.(0) <- mid;
+                    bst.(1) <- mid
+                  end
+                  else if bst.(2) *. fm < 0. then bst.(1) <- mid
+                  else begin
+                    bst.(0) <- mid;
+                    bst.(2) <- fm
+                  end
+                done;
+                0.5 *. (bst.(0) +. bst.(1))
+              end
+            in
+            ws.hp.(0) <- s_root *. h_acc;
+            advance scratch;
+            let t_ev = tcur.(0) +. (s_root *. h_acc) in
+            (match sink with
+            | Stream { on_event; _ } ->
+                (* borrowed packed buffer, same protocol as [on_point];
+                   [pt] is dead here until the next localization or
+                   accepted step rewrites it *)
+                pt.(0) <- t_ev;
+                copy scratch 0 pt 1 dim;
+                on_event e pt
+            | Record -> ());
+            if recording || gs.gs_terminal.(e) then begin
+              let oc =
+                {
+                  oc_name = gs.gs_names.(e);
+                  oc_t = t_ev;
+                  oc_y = Array.copy scratch;
+                }
+              in
+              if recording then occs := oc :: !occs;
+              if gs.gs_terminal.(e) then
+                match !stop_here with
+                | Some (prev_oc : occurrence) when prev_oc.oc_t <= t_ev -> ()
+                | Some _ | None -> stop_here := Some oc
+            end
+          end
+        done;
+        match !stop_here with
+        | Some oc ->
+            terminated := Some oc;
+            pt.(0) <- oc.oc_t;
+            copy oc.oc_y 0 pt 1 dim;
+            emit ();
+            continue_ := false
+        | None ->
+            tcur.(0) <- t_next;
+            let tmp = !ya in
+            ya := !yb;
+            yb := tmp;
+            pt.(0) <- t_next;
+            copy !ya 0 pt 1 dim;
+            emit ();
+            copy g_next 0 g_prev 0 n_ev
+      end
+    end
+  done;
+  match sink with
+  | Stream _ -> ()
+  | Record ->
+      {
+        ts = Array.sub !ts_buf 0 !len;
+        ys = Array.sub !ys_buf 0 !len;
+        occs = List.rev !occs;
+        terminated = !terminated;
+        n_steps = !n_steps;
+        n_rejected = !n_rejected;
+      }
+
 (* --- batched SoA stepping ------------------------------------------------ *)
 
 (* A front of [n] independent planar states advanced in lock-step.
@@ -174,7 +860,7 @@ let step_auto_into ws m (f : field_auto) y h dst =
    contiguous unboxed memory and the right-hand side is evaluated as a
    single sweep over all lanes instead of n closure calls.
 
-   The per-lane arithmetic mirrors {!step_into} expression for
+   The per-lane arithmetic mirrors {!rk_core} expression for
    expression, so advancing lane [i] is bit-for-bit identical to
    advancing the state [[|xs.(i); ys.(i)|]] with the scalar stepper —
    batching changes the memory layout, never the results (locked down by
@@ -240,19 +926,11 @@ module Batch = struct
       h = 0.;
     }
 
-  let lanes b = b.n
   let set_h b h = b.h <- h
   let is_active b i = Bytes.unsafe_get b.active i <> '\000'
 
   let set_active b i v =
     Bytes.unsafe_set b.active i (if v then '\001' else '\000')
-
-  let active_count b =
-    let c = ref 0 in
-    for i = 0 to b.n - 1 do
-      if Bytes.unsafe_get b.active i <> '\000' then incr c
-    done;
-    !c
 
   (* Branch-free-style per-lane select on the sign of [mask]: the σ-switch
      of the paper's variable-structure systems, applied as its own sweep
@@ -372,991 +1050,6 @@ module Batch = struct
     | Heun -> step_heun b f
     | Rk4 -> step_rk4 b f
 end
-
-let step m f t y h =
-  let n = Array.length y in
-  match m with
-  | Euler ->
-      let k1 = f t y in
-      let out = Array.make n 0. in
-      axpy out h k1 y;
-      out
-  | Heun ->
-      let k1 = f t y in
-      let tmp = Array.make n 0. in
-      axpy tmp h k1 y;
-      let k2 = f (t +. h) tmp in
-      Array.init n (fun i -> y.(i) +. (h /. 2. *. (k1.(i) +. k2.(i))))
-  | Rk4 ->
-      let tmp = Array.make n 0. in
-      let k1 = f t y in
-      axpy tmp (h /. 2.) k1 y;
-      let k2 = f (t +. (h /. 2.)) tmp in
-      axpy tmp (h /. 2.) k2 y;
-      let k3 = f (t +. (h /. 2.)) tmp in
-      axpy tmp h k3 y;
-      let k4 = f (t +. h) tmp in
-      Array.init n (fun i ->
-          y.(i) +. (h /. 6. *. (k1.(i) +. (2. *. k2.(i)) +. (2. *. k3.(i)) +. k4.(i))))
-
-(* --- event helpers ------------------------------------------------------ *)
-
-let fires dir g_prev g_next =
-  if g_prev = 0. then false
-  else
-    match dir with
-    | Up -> g_prev < 0. && g_next >= 0.
-    | Down -> g_prev > 0. && g_next <= 0.
-    | Both -> g_prev *. g_next <= 0. && g_next <> g_prev
-
-(* Localize the event inside the step [t, t+h] starting at state [y], using
-   the provided single-step function to evaluate intermediate states.
-   Returns (t_event, y_event). *)
-let localize step_fn ev t y h =
-  let state_at_frac s = step_fn t y (s *. h) in
-  let phi s =
-    let ys = state_at_frac s in
-    ev.guard (t +. (s *. h)) ys
-  in
-  let s_root =
-    try Roots.bisect ~tol:1e-13 ~max_iter:100 phi 1e-15 1.
-    with Roots.No_bracket _ -> 1.
-  in
-  let y_ev = state_at_frac s_root in
-  (t +. (s_root *. h), y_ev)
-
-(* Allocation-free localization: same bisection, but intermediate states
-   are written into a caller-provided scratch buffer instead of being
-   allocated per evaluation. Bit-identical to [localize] when the
-   in-place step function writes the same bits the allocating one
-   returns (true for all the steppers in this module). Only the event
-   state itself is allocated (the caller keeps it). *)
-let localize_into (single_into : float -> float array -> float -> float array -> unit)
-    ev t y h scratch =
-  let phi s =
-    single_into t y (s *. h) scratch;
-    ev.guard (t +. (s *. h)) scratch
-  in
-  let s_root =
-    try Roots.bisect ~tol:1e-13 ~max_iter:100 phi 1e-15 1.
-    with Roots.No_bracket _ -> 1.
-  in
-  single_into t y (s_root *. h) scratch;
-  (t +. (s_root *. h), Array.copy scratch)
-
-(* --- generic driver ------------------------------------------------------ *)
-
-type driver_step = float -> float array -> float -> float array
-(* [driver_step t y h] = state after one step of size h from (t, y).
-   Must return a freshly allocated array (never a reused buffer): the
-   driver stores the result in the solution without copying. *)
-
-let run_driver ~(single : driver_step) ?single_into
-    ~(next_h : float -> float array -> float -> float * float * bool)
-    ?(events = []) ?monitor ~t_end ~t0 ~y0 () =
-  (* [single_into], when given, is used for event localization: it must
-     write into its destination the same bits [single] would return, and
-     lets the bisection reuse one scratch buffer instead of allocating a
-     state per guard evaluation. *)
-  let loc_scratch =
-    match single_into with
-    | Some _ -> Array.make (Array.length y0) 0.
-    | None -> [||]
-  in
-  (* [next_h t y h_try] returns (h_accepted, h_next_suggestion, accepted?).
-     For fixed-step drivers it always accepts. *)
-  (* The trajectory accumulates in growable arrays rather than lists:
-     the time column stays unboxed (a [float :: _] cons boxes the head)
-     and the state column costs one pointer store per step. Guards live
-     in parallel arrays, with [g_next] recycled into [g_prev] after an
-     accepted step — the original re-evaluated every guard a second
-     time for the update; guards are pure, so reusing the first
-     evaluation changes nothing. *)
-  let cap0 = 64 in
-  let ts_buf = ref (Array.make cap0 0.) in
-  let ys_buf = ref (Array.make cap0 [||]) in
-  let len = ref 0 in
-  let push t y =
-    if !len = Array.length !ts_buf then begin
-      let c = 2 * Array.length !ts_buf in
-      let ts' = Array.make c 0. and ys' = Array.make c [||] in
-      Array.blit !ts_buf 0 ts' 0 !len;
-      Array.blit !ys_buf 0 ys' 0 !len;
-      ts_buf := ts';
-      ys_buf := ys'
-    end;
-    !ts_buf.(!len) <- t;
-    !ys_buf.(!len) <- y;
-    incr len
-  in
-  push t0 (Array.copy y0);
-  let occs = ref [] in
-  let terminated = ref None in
-  let n_steps = ref 0 in
-  let n_rejected = ref 0 in
-  let evs = Array.of_list events in
-  let n_ev = Array.length evs in
-  let g_prev = Array.make n_ev 0. in
-  let g_next = Array.make n_ev 0. in
-  for e = 0 to n_ev - 1 do
-    g_prev.(e) <- evs.(e).guard t0 y0
-  done;
-  let t = ref t0 and y = ref (Array.copy y0) in
-  let h_cur = ref nan in
-  (* h_cur is set by the caller through next_h's suggestion channel: we seed
-     it with (t_end - t0) and let next_h clamp. *)
-  h_cur := t_end -. t0;
-  let continue_ = ref (t_end > t0) in
-  while !continue_ do
-    let remaining = t_end -. !t in
-    if remaining <= 1e-15 *. (1. +. Float.abs t_end) then continue_ := false
-    else begin
-      let h_try = Float.min !h_cur remaining in
-      let h_acc, h_next, accepted = next_h !t !y h_try in
-      if not accepted then begin
-        incr n_rejected;
-        (match monitor with
-        | Some m -> m.on_reject !t h_try
-        | None -> ());
-        h_cur := h_next
-      end
-      else begin
-        incr n_steps;
-        let y_next = single !t !y h_acc in
-        let t_next = !t +. h_acc in
-        (match monitor with
-        | Some m -> m.on_step t_next h_acc
-        | None -> ());
-        (* event detection over this accepted step *)
-        for e = 0 to n_ev - 1 do
-          g_next.(e) <- evs.(e).guard t_next y_next
-        done;
-        let stop_here = ref None in
-        for e = 0 to n_ev - 1 do
-          let ev = evs.(e) in
-          if fires ev.dir g_prev.(e) g_next.(e) then begin
-            let t_ev, y_ev =
-              match single_into with
-              | Some si -> localize_into si ev !t !y h_acc loc_scratch
-              | None -> localize single ev !t !y h_acc
-            in
-            let oc = { oc_name = ev.ev_name; oc_t = t_ev; oc_y = y_ev } in
-            occs := oc :: !occs;
-            if ev.terminal then
-              match !stop_here with
-              | Some (prev_oc : occurrence) when prev_oc.oc_t <= t_ev -> ()
-              | Some _ | None -> stop_here := Some oc
-          end
-        done;
-        (match !stop_here with
-        | Some oc ->
-            terminated := Some oc;
-            push oc.oc_t (Array.copy oc.oc_y);
-            continue_ := false
-        | None ->
-            t := t_next;
-            y := y_next;
-            push t_next y_next;
-            Array.blit g_next 0 g_prev 0 n_ev;
-            h_cur := h_next)
-      end
-    end
-  done;
-  {
-    ts = Array.sub !ts_buf 0 !len;
-    ys = Array.sub !ys_buf 0 !len;
-    occs = List.rev !occs;
-    terminated = !terminated;
-    n_steps = !n_steps;
-    n_rejected = !n_rejected;
-  }
-
-let solve_fixed ?(method_ = Rk4) ?(events = []) ?monitor ~h ~t_end f ~t0 ~y0 =
-  if h <= 0. then invalid_arg "Ode.solve_fixed: h <= 0";
-  let single t y h = step method_ f t y h in
-  let next_h _t _y h_try = (Float.min h_try h, h, true) in
-  run_driver ~single ~next_h ~events ?monitor ~t_end ~t0 ~y0 ()
-
-let solve_fixed_into ?(method_ = Rk4) ?(events = []) ?monitor ~h ~t_end f ~t0
-    ~y0 =
-  if h <= 0. then invalid_arg "Ode.solve_fixed_into: h <= 0";
-  let ws = workspace (Array.length y0) in
-  let single t y h =
-    let dst = Array.make (Array.length y) 0. in
-    step_into ws method_ f t y h dst;
-    dst
-  in
-  let single_into t y h dst = step_into ws method_ f t y h dst in
-  let next_h _t _y h_try = (Float.min h_try h, h, true) in
-  run_driver ~single ~single_into ~next_h ~events ?monitor ~t_end ~t0 ~y0 ()
-
-(* --- Fehlberg 4(5) ------------------------------------------------------- *)
-
-let rkf45_step f t y h =
-  let n = Array.length y in
-  let stage coeffs =
-    let tmp = Array.copy y in
-    List.iter
-      (fun (c, (k : float array)) ->
-        for i = 0 to n - 1 do
-          tmp.(i) <- tmp.(i) +. (h *. c *. k.(i))
-        done)
-      coeffs;
-    tmp
-  in
-  let k1 = f t y in
-  let k2 = f (t +. (h /. 4.)) (stage [ (1. /. 4., k1) ]) in
-  let k3 =
-    f (t +. (3. *. h /. 8.)) (stage [ (3. /. 32., k1); (9. /. 32., k2) ])
-  in
-  let k4 =
-    f
-      (t +. (12. *. h /. 13.))
-      (stage
-         [ (1932. /. 2197., k1); (-7200. /. 2197., k2); (7296. /. 2197., k3) ])
-  in
-  let k5 =
-    f (t +. h)
-      (stage
-         [
-           (439. /. 216., k1);
-           (-8., k2);
-           (3680. /. 513., k3);
-           (-845. /. 4104., k4);
-         ])
-  in
-  let k6 =
-    f
-      (t +. (h /. 2.))
-      (stage
-         [
-           (-8. /. 27., k1);
-           (2., k2);
-           (-3544. /. 2565., k3);
-           (1859. /. 4104., k4);
-           (-11. /. 40., k5);
-         ])
-  in
-  let y5 =
-    Array.init n (fun i ->
-        y.(i)
-        +. (h
-            *. ((16. /. 135. *. k1.(i))
-                +. (6656. /. 12825. *. k3.(i))
-                +. (28561. /. 56430. *. k4.(i))
-                +. (-9. /. 50. *. k5.(i))
-                +. (2. /. 55. *. k6.(i)))))
-  in
-  let err = ref 0. in
-  for i = 0 to n - 1 do
-    let y4i =
-      y.(i)
-      +. (h
-          *. ((25. /. 216. *. k1.(i))
-              +. (1408. /. 2565. *. k3.(i))
-              +. (2197. /. 4104. *. k4.(i))
-              +. (-1. /. 5. *. k5.(i))))
-    in
-    err := Float.max !err (Float.abs (y5.(i) -. y4i))
-  done;
-  (y5, !err)
-
-(* --- Dormand–Prince 5(4) ------------------------------------------------- *)
-
-let dopri5_step f t y h =
-  let n = Array.length y in
-  let stage coeffs =
-    let tmp = Array.copy y in
-    List.iter
-      (fun (c, (k : float array)) ->
-        for i = 0 to n - 1 do
-          tmp.(i) <- tmp.(i) +. (h *. c *. k.(i))
-        done)
-      coeffs;
-    tmp
-  in
-  let k1 = f t y in
-  let k2 = f (t +. (h /. 5.)) (stage [ (1. /. 5., k1) ]) in
-  let k3 =
-    f (t +. (3. *. h /. 10.)) (stage [ (3. /. 40., k1); (9. /. 40., k2) ])
-  in
-  let k4 =
-    f
-      (t +. (4. *. h /. 5.))
-      (stage [ (44. /. 45., k1); (-56. /. 15., k2); (32. /. 9., k3) ])
-  in
-  let k5 =
-    f
-      (t +. (8. *. h /. 9.))
-      (stage
-         [
-           (19372. /. 6561., k1);
-           (-25360. /. 2187., k2);
-           (64448. /. 6561., k3);
-           (-212. /. 729., k4);
-         ])
-  in
-  let k6 =
-    f (t +. h)
-      (stage
-         [
-           (9017. /. 3168., k1);
-           (-355. /. 33., k2);
-           (46732. /. 5247., k3);
-           (49. /. 176., k4);
-           (-5103. /. 18656., k5);
-         ])
-  in
-  let y5 =
-    Array.init n (fun i ->
-        y.(i)
-        +. (h
-            *. ((35. /. 384. *. k1.(i))
-                +. (500. /. 1113. *. k3.(i))
-                +. (125. /. 192. *. k4.(i))
-                +. (-2187. /. 6784. *. k5.(i))
-                +. (11. /. 84. *. k6.(i)))))
-  in
-  let k7 = f (t +. h) y5 in
-  let err = ref 0. in
-  for i = 0 to n - 1 do
-    let y4i =
-      y.(i)
-      +. (h
-          *. ((5179. /. 57600. *. k1.(i))
-              +. (7571. /. 16695. *. k3.(i))
-              +. (393. /. 640. *. k4.(i))
-              +. (-92097. /. 339200. *. k5.(i))
-              +. (187. /. 2100. *. k6.(i))
-              +. (1. /. 40. *. k7.(i))))
-    in
-    err := Float.max !err (Float.abs (y5.(i) -. y4i))
-  done;
-  (y5, !err)
-
-(* In-place Dormand–Prince 5(4): the seven stage derivatives and the
-   stage state live in a preallocated workspace, the 5th-order solution
-   is written into [dst] and the embedded error estimate into
-   [err.(0)] (a 1-element accumulator — a [ref float] would box on
-   every store). Every expression mirrors [dopri5_step] exactly, so the
-   results are bit-for-bit identical; the only allocation left on the
-   path is whatever the field itself performs. [dst] must not alias
-   [y] (it is passed back to [f] for the FSAL stage). *)
-
-type dopri_workspace = {
-  dk1 : float array;
-  dk2 : float array;
-  dk3 : float array;
-  dk4 : float array;
-  dk5 : float array;
-  dk6 : float array;
-  dk7 : float array;
-  dtmp : float array;
-  dhp : float array;
-      (* 1-slot step-size mailbox for the autonomous stepper: a [float]
-         argument crossing a non-inlined call boundary is boxed, a
-         float-array store is not *)
-}
-
-let dopri_workspace dim =
-  if dim < 1 then invalid_arg "Ode.dopri_workspace: dim < 1";
-  {
-    dk1 = Array.make dim 0.;
-    dk2 = Array.make dim 0.;
-    dk3 = Array.make dim 0.;
-    dk4 = Array.make dim 0.;
-    dk5 = Array.make dim 0.;
-    dk6 = Array.make dim 0.;
-    dk7 = Array.make dim 0.;
-    dtmp = Array.make dim 0.;
-    dhp = Array.make 1 0.;
-  }
-
-let dopri5_into ws (f : field_into) t y h dst err =
-  let n = Array.length y in
-  let k1 = ws.dk1 and k2 = ws.dk2 and k3 = ws.dk3 and k4 = ws.dk4 in
-  let k5 = ws.dk5 and k6 = ws.dk6 and k7 = ws.dk7 and tmp = ws.dtmp in
-  f t y k1;
-  for i = 0 to n - 1 do
-    tmp.(i) <- y.(i) +. (h *. (1. /. 5.) *. k1.(i))
-  done;
-  f (t +. (h /. 5.)) tmp k2;
-  for i = 0 to n - 1 do
-    tmp.(i) <-
-      y.(i) +. (h *. (3. /. 40.) *. k1.(i)) +. (h *. (9. /. 40.) *. k2.(i))
-  done;
-  f (t +. (3. *. h /. 10.)) tmp k3;
-  for i = 0 to n - 1 do
-    tmp.(i) <-
-      y.(i)
-      +. (h *. (44. /. 45.) *. k1.(i))
-      +. (h *. (-56. /. 15.) *. k2.(i))
-      +. (h *. (32. /. 9.) *. k3.(i))
-  done;
-  f (t +. (4. *. h /. 5.)) tmp k4;
-  for i = 0 to n - 1 do
-    tmp.(i) <-
-      y.(i)
-      +. (h *. (19372. /. 6561.) *. k1.(i))
-      +. (h *. (-25360. /. 2187.) *. k2.(i))
-      +. (h *. (64448. /. 6561.) *. k3.(i))
-      +. (h *. (-212. /. 729.) *. k4.(i))
-  done;
-  f (t +. (8. *. h /. 9.)) tmp k5;
-  for i = 0 to n - 1 do
-    tmp.(i) <-
-      y.(i)
-      +. (h *. (9017. /. 3168.) *. k1.(i))
-      +. (h *. (-355. /. 33.) *. k2.(i))
-      +. (h *. (46732. /. 5247.) *. k3.(i))
-      +. (h *. (49. /. 176.) *. k4.(i))
-      +. (h *. (-5103. /. 18656.) *. k5.(i))
-  done;
-  f (t +. h) tmp k6;
-  for i = 0 to n - 1 do
-    dst.(i) <-
-      y.(i)
-      +. (h
-          *. ((35. /. 384. *. k1.(i))
-              +. (500. /. 1113. *. k3.(i))
-              +. (125. /. 192. *. k4.(i))
-              +. (-2187. /. 6784. *. k5.(i))
-              +. (11. /. 84. *. k6.(i))))
-  done;
-  f (t +. h) dst k7;
-  err.(0) <- 0.;
-  for i = 0 to n - 1 do
-    let y4i =
-      y.(i)
-      +. (h
-          *. ((5179. /. 57600. *. k1.(i))
-              +. (7571. /. 16695. *. k3.(i))
-              +. (393. /. 640. *. k4.(i))
-              +. (-92097. /. 339200. *. k5.(i))
-              +. (187. /. 2100. *. k6.(i))
-              +. (1. /. 40. *. k7.(i))))
-    in
-    err.(0) <- Float.max err.(0) (Float.abs (dst.(i) -. y4i))
-  done
-
-(* Autonomous Dormand–Prince 5(4). The systems this repo integrates are
-   all autonomous, and in the [field_into] form every stage call boxes
-   its freshly computed stage time (a float crossing a closure boundary
-   allocates). Here no float crosses any call boundary: the step size
-   arrives through the workspace mailbox [dhp] and the stage times are
-   simply never materialized (the field ignores them). Stage arithmetic
-   is identical to [dopri5_into] — h only ever enters the state through
-   the same [h *. c *. k] products — so the results are bit-for-bit
-   equal. *)
-let dopri5_auto_core ws (f : field_auto) y dst err =
-  let n = Array.length y in
-  let h = ws.dhp.(0) in
-  let k1 = ws.dk1 and k2 = ws.dk2 and k3 = ws.dk3 and k4 = ws.dk4 in
-  let k5 = ws.dk5 and k6 = ws.dk6 and k7 = ws.dk7 and tmp = ws.dtmp in
-  f y k1;
-  for i = 0 to n - 1 do
-    tmp.(i) <- y.(i) +. (h *. (1. /. 5.) *. k1.(i))
-  done;
-  f tmp k2;
-  for i = 0 to n - 1 do
-    tmp.(i) <-
-      y.(i) +. (h *. (3. /. 40.) *. k1.(i)) +. (h *. (9. /. 40.) *. k2.(i))
-  done;
-  f tmp k3;
-  for i = 0 to n - 1 do
-    tmp.(i) <-
-      y.(i)
-      +. (h *. (44. /. 45.) *. k1.(i))
-      +. (h *. (-56. /. 15.) *. k2.(i))
-      +. (h *. (32. /. 9.) *. k3.(i))
-  done;
-  f tmp k4;
-  for i = 0 to n - 1 do
-    tmp.(i) <-
-      y.(i)
-      +. (h *. (19372. /. 6561.) *. k1.(i))
-      +. (h *. (-25360. /. 2187.) *. k2.(i))
-      +. (h *. (64448. /. 6561.) *. k3.(i))
-      +. (h *. (-212. /. 729.) *. k4.(i))
-  done;
-  f tmp k5;
-  for i = 0 to n - 1 do
-    tmp.(i) <-
-      y.(i)
-      +. (h *. (9017. /. 3168.) *. k1.(i))
-      +. (h *. (-355. /. 33.) *. k2.(i))
-      +. (h *. (46732. /. 5247.) *. k3.(i))
-      +. (h *. (49. /. 176.) *. k4.(i))
-      +. (h *. (-5103. /. 18656.) *. k5.(i))
-  done;
-  f tmp k6;
-  for i = 0 to n - 1 do
-    dst.(i) <-
-      y.(i)
-      +. (h
-          *. ((35. /. 384. *. k1.(i))
-              +. (500. /. 1113. *. k3.(i))
-              +. (125. /. 192. *. k4.(i))
-              +. (-2187. /. 6784. *. k5.(i))
-              +. (11. /. 84. *. k6.(i))))
-  done;
-  f dst k7;
-  err.(0) <- 0.;
-  for i = 0 to n - 1 do
-    let y4i =
-      y.(i)
-      +. (h
-          *. ((5179. /. 57600. *. k1.(i))
-              +. (7571. /. 16695. *. k3.(i))
-              +. (393. /. 640. *. k4.(i))
-              +. (-92097. /. 339200. *. k5.(i))
-              +. (187. /. 2100. *. k6.(i))
-              +. (1. /. 40. *. k7.(i))))
-    in
-    err.(0) <- Float.max err.(0) (Float.abs (dst.(i) -. y4i))
-  done
-
-let dopri5_auto_into ws f y h dst err =
-  ws.dhp.(0) <- h;
-  dopri5_auto_core ws f y dst err
-
-let solve_adaptive ?(rtol = 1e-8) ?(atol = 1e-10) ?h0 ?(h_min = 1e-14)
-    ?h_max ?(max_steps = 2_000_000) ?(events = []) ?monitor ~t_end f ~t0 ~y0 =
-  let span = t_end -. t0 in
-  if span <= 0. then invalid_arg "Ode.solve_adaptive: t_end <= t0";
-  let h_max = match h_max with Some h -> h | None -> span in
-  let h_init = match h0 with Some h -> h | None -> span /. 100. in
-  let budget = ref max_steps in
-  let single t y h =
-    let y', _ = dopri5_step f t y h in
-    y'
-  in
-  let h_suggest = ref (Float.min h_init h_max) in
-  let next_h t y h_try =
-    decr budget;
-    if !budget <= 0 then failwith "Ode.solve_adaptive: max_steps exhausted";
-    let h_try = Float.min h_try !h_suggest in
-    let h_try = Float.max h_try h_min in
-    let y', err = dopri5_step f t y h_try in
-    let scale = ref atol in
-    Array.iteri
-      (fun i yi ->
-        scale :=
-          Float.max !scale (rtol *. Float.max (Float.abs yi) (Float.abs y'.(i))))
-      y;
-    let ratio = err /. !scale in
-    (* a wildly oversized trial step can overflow the stage values and
-       produce a NaN error estimate; treat it as an infinitely bad step so
-       the controller shrinks instead of propagating the NaN *)
-    let ratio = if Float.is_finite ratio then ratio else infinity in
-    if ratio <= 1. || h_try <= h_min *. 1.0001 then begin
-      let grow =
-        if ratio <= 0. then 5. else Float.min 5. (0.9 *. (ratio ** -0.2))
-      in
-      h_suggest := Float.min h_max (h_try *. Float.max 1. grow);
-      (h_try, !h_suggest, true)
-    end
-    else begin
-      let shrink = Float.max 0.1 (0.9 *. (ratio ** -0.25)) in
-      let h_new = Float.max h_min (h_try *. shrink) in
-      if h_new <= h_min && h_try <= h_min *. 1.0001 then
-        failwith "Ode.solve_adaptive: step size underflow";
-      h_suggest := h_new;
-      (h_try, h_new, false)
-    end
-  in
-  run_driver ~single ~next_h ~events ?monitor ~t_end ~t0 ~y0 ()
-
-(* [solve_adaptive] over an in-place field. The step-control logic, the
-   trial/accept evaluation sequence and every arithmetic expression
-   mirror [solve_adaptive] exactly (including evaluating the stepper
-   once for the error estimate and once for the accepted state — the
-   field is called the same number of times in the same order, which
-   figure code that counts RHS evaluations relies on), so the solution
-   is bit-for-bit identical. What changes is allocation: the RK stages
-   live in a reused workspace and event localization reuses one scratch
-   state, so the only per-step allocations are the recorded trajectory
-   point and the accepted-state array the driver stores. *)
-let solve_adaptive_into ?(rtol = 1e-8) ?(atol = 1e-10) ?h0 ?(h_min = 1e-14)
-    ?h_max ?(max_steps = 2_000_000) ?(events = []) ?monitor ~t_end
-    (f : field_into) ~t0 ~y0 =
-  let span = t_end -. t0 in
-  if span <= 0. then invalid_arg "Ode.solve_adaptive_into: t_end <= t0";
-  let h_max = match h_max with Some h -> h | None -> span in
-  let h_init = match h0 with Some h -> h | None -> span /. 100. in
-  let budget = ref max_steps in
-  let dim = Array.length y0 in
-  let ws = dopri_workspace dim in
-  let err_acc = [| 0. |] in
-  let trial = Array.make dim 0. in
-  let single t y h =
-    let dst = Array.make dim 0. in
-    dopri5_into ws f t y h dst err_acc;
-    dst
-  in
-  let single_into t y h dst = dopri5_into ws f t y h dst err_acc in
-  let h_suggest = ref (Float.min h_init h_max) in
-  let next_h t y h_try =
-    decr budget;
-    if !budget <= 0 then failwith "Ode.solve_adaptive_into: max_steps exhausted";
-    let h_try = Float.min h_try !h_suggest in
-    let h_try = Float.max h_try h_min in
-    dopri5_into ws f t y h_try trial err_acc;
-    let err = err_acc.(0) in
-    let scale = ref atol in
-    Array.iteri
-      (fun i yi ->
-        scale :=
-          Float.max !scale
-            (rtol *. Float.max (Float.abs yi) (Float.abs trial.(i))))
-      y;
-    let ratio = err /. !scale in
-    let ratio = if Float.is_finite ratio then ratio else infinity in
-    if ratio <= 1. || h_try <= h_min *. 1.0001 then begin
-      let grow =
-        if ratio <= 0. then 5. else Float.min 5. (0.9 *. (ratio ** -0.2))
-      in
-      h_suggest := Float.min h_max (h_try *. Float.max 1. grow);
-      (h_try, !h_suggest, true)
-    end
-    else begin
-      let shrink = Float.max 0.1 (0.9 *. (ratio ** -0.25)) in
-      let h_new = Float.max h_min (h_try *. shrink) in
-      if h_new <= h_min && h_try <= h_min *. 1.0001 then
-        failwith "Ode.solve_adaptive_into: step size underflow";
-      h_suggest := h_new;
-      (h_try, h_new, false)
-    end
-  in
-  run_driver ~single ~single_into ~next_h ~events ?monitor ~t_end ~t0 ~y0 ()
-
-(* [solve_adaptive_into] for autonomous fields — the hot-loop form. Same
-   bit-for-bit guarantee (the controller expressions and evaluation
-   sequence are copied verbatim, with the accumulators moved from [ref]
-   cells into 1-slot float arrays, which changes no value), but no float
-   crosses a call boundary on the per-step path: the stepper reads h
-   from the workspace mailbox, the field takes no time argument, and
-   the step-size suggestion lives in a float-array slot instead of a
-   boxing [ref]. *)
-let solve_adaptive_auto_into ?(rtol = 1e-8) ?(atol = 1e-10) ?h0
-    ?(h_min = 1e-14) ?h_max ?(max_steps = 2_000_000) ?(events = []) ?monitor
-    ~t_end (f : field_auto) ~t0 ~y0 =
-  let span = t_end -. t0 in
-  if span <= 0. then invalid_arg "Ode.solve_adaptive_auto_into: t_end <= t0";
-  let h_max = match h_max with Some h -> h | None -> span in
-  let h_init = match h0 with Some h -> h | None -> span /. 100. in
-  let budget = ref max_steps in
-  let dim = Array.length y0 in
-  let ws = dopri_workspace dim in
-  let err_acc = [| 0. |] in
-  let trial = Array.make dim 0. in
-  let single _t y h =
-    let dst = Array.make dim 0. in
-    ws.dhp.(0) <- h;
-    dopri5_auto_core ws f y dst err_acc;
-    dst
-  in
-  let single_into _t y h dst =
-    ws.dhp.(0) <- h;
-    dopri5_auto_core ws f y dst err_acc
-  in
-  let h_suggest = [| Float.min h_init h_max |] in
-  let scale_acc = [| 0. |] in
-  let next_h _t y h_try =
-    decr budget;
-    if !budget <= 0 then
-      failwith "Ode.solve_adaptive_auto_into: max_steps exhausted";
-    let h_try = Float.min h_try h_suggest.(0) in
-    let h_try = Float.max h_try h_min in
-    ws.dhp.(0) <- h_try;
-    dopri5_auto_core ws f y trial err_acc;
-    let err = err_acc.(0) in
-    scale_acc.(0) <- atol;
-    for i = 0 to dim - 1 do
-      scale_acc.(0) <-
-        Float.max scale_acc.(0)
-          (rtol *. Float.max (Float.abs y.(i)) (Float.abs trial.(i)))
-    done;
-    let ratio = err /. scale_acc.(0) in
-    let ratio = if Float.is_finite ratio then ratio else infinity in
-    if ratio <= 1. || h_try <= h_min *. 1.0001 then begin
-      let grow =
-        if ratio <= 0. then 5. else Float.min 5. (0.9 *. (ratio ** -0.2))
-      in
-      h_suggest.(0) <- Float.min h_max (h_try *. Float.max 1. grow);
-      (h_try, h_suggest.(0), true)
-    end
-    else begin
-      let shrink = Float.max 0.1 (0.9 *. (ratio ** -0.25)) in
-      let h_new = Float.max h_min (h_try *. shrink) in
-      if h_new <= h_min && h_try <= h_min *. 1.0001 then
-        failwith "Ode.solve_adaptive_auto_into: step size underflow";
-      h_suggest.(0) <- h_new;
-      (h_try, h_new, false)
-    end
-  in
-  run_driver ~single ~single_into ~next_h ~events ?monitor ~t_end ~t0 ~y0 ()
-
-(* --- streaming adaptive scan --------------------------------------------- *)
-
-type guard_spec = {
-  gs_names : string array;
-  gs_dirs : direction array;
-  gs_terminal : bool array;
-  gs_eval : float array -> float array -> unit;
-}
-
-type scan_result = {
-  sc_occs : occurrence list;
-  sc_terminated : occurrence option;
-  sc_steps : int;
-  sc_rejected : int;
-}
-
-let guards_of_events ~dim events =
-  let evs = Array.of_list events in
-  let n = Array.length evs in
-  let y_view = Array.make dim 0. in
-  {
-    gs_names = Array.map (fun e -> e.ev_name) evs;
-    gs_dirs = Array.map (fun e -> e.dir) evs;
-    gs_terminal = Array.map (fun e -> e.terminal) evs;
-    gs_eval =
-      (fun pt dst ->
-        Array.blit pt 1 y_view 0 dim;
-        let t = pt.(0) in
-        for e = 0 to n - 1 do
-          dst.(e) <- evs.(e).guard t y_view
-        done);
-  }
-
-let no_guards =
-  {
-    gs_names = [||];
-    gs_dirs = [||];
-    gs_terminal = [||];
-    gs_eval = (fun _ _ -> ());
-  }
-
-(* [solve_adaptive_auto_into] without the recorded trajectory: the same
-   controller expressions and evaluation sequence (each accepted point
-   carries the same bits the recording driver would have stored), but
-   every sample is handed to [on_point] through one reused
-   [|t; y0; ...; y_{dim-1}|] buffer and then forgotten. No float
-   crosses a call boundary on the per-step path — guards read the
-   packed buffer, the bisection argument travels through a slot array,
-   and the accepted state is blitted from the trial buffer (the core
-   stepper is deterministic in (y, h), so skipping the recording
-   driver's recomputation changes no bits). *)
-let solve_adaptive_auto_scan ?(rtol = 1e-8) ?(atol = 1e-10) ?h0
-    ?(h_min = 1e-14) ?h_max ?(max_steps = 2_000_000) ?(guards = no_guards)
-    ?monitor ?(record_occs = true) ?on_event ?on_event_raw
-    ~(on_point : float array -> unit) ~t_end (f : field_auto) ~t0 ~y0 =
-  let span = t_end -. t0 in
-  if span <= 0. then invalid_arg "Ode.solve_adaptive_auto_scan: t_end <= t0";
-  let h_max = match h_max with Some h -> h | None -> span in
-  let h_init = match h0 with Some h -> h | None -> span /. 100. in
-  let budget = ref max_steps in
-  let dim = Array.length y0 in
-  let ws = dopri_workspace dim in
-  let err_acc = [| 0. |] in
-  let trial = Array.make dim 0. in
-  let h_suggest = [| Float.min h_init h_max |] in
-  let scale_acc = [| 0. |] in
-  let gs = guards in
-  let n_ev = Array.length gs.gs_names in
-  let g_prev = Array.make (Stdlib.max 1 n_ev) 0. in
-  let g_next = Array.make (Stdlib.max 1 n_ev) 0. in
-  let g_loc = Array.make (Stdlib.max 1 n_ev) 0. in
-  let pt = Array.make (dim + 1) 0. in
-  let ya = ref (Array.copy y0) in
-  let yb = ref (Array.make dim 0.) in
-  let scratch = Array.make dim 0. in
-  let tcur = [| t0 |] in
-  let hcur = [| t_end -. t0 |] in
-  (* bisection mailboxes: 0=lo 1=hi 2=flo 3=s-argument 4=phi-result
-     5=h of the step under localization *)
-  let bst = Array.make 6 0. in
-  let bei = [| 0 |] in
-  (* phi(s) of [localize_into]: step to fraction s of the current step,
-     then evaluate the firing guard there. Argument and result travel
-     through [bst] so no float is boxed per bisection iteration. *)
-  let eval_phi () =
-    let s = bst.(3) in
-    let h = bst.(5) in
-    ws.dhp.(0) <- s *. h;
-    dopri5_auto_core ws f !ya scratch err_acc;
-    pt.(0) <- tcur.(0) +. (s *. h);
-    Array.blit scratch 0 pt 1 dim;
-    gs.gs_eval pt g_loc;
-    bst.(4) <- g_loc.(bei.(0))
-  in
-  let occs = ref [] in
-  let terminated = ref None in
-  let n_steps = ref 0 in
-  let n_rejected = ref 0 in
-  (* [fires] by index: same predicate as the shared [fires], but the
-     guard values are read from the arrays here rather than passed as
-     float arguments — a non-inlined float-argument call would box
-     both floats on every step of every guard *)
-  let fires_at e =
-    let gp = g_prev.(e) and gn = g_next.(e) in
-    if gp = 0. then false
-    else
-      match gs.gs_dirs.(e) with
-      | Up -> gp < 0. && gn >= 0.
-      | Down -> gp > 0. && gn <= 0.
-      | Both -> gp *. gn <= 0. && gn <> gp
-  in
-  pt.(0) <- t0;
-  Array.blit y0 0 pt 1 dim;
-  if n_ev > 0 then gs.gs_eval pt g_prev;
-  on_point pt;
-  let continue_ = ref (t_end > t0) in
-  while !continue_ do
-    let remaining = t_end -. tcur.(0) in
-    if remaining <= 1e-15 *. (1. +. Float.abs t_end) then continue_ := false
-    else begin
-      let h_try0 = Float.min hcur.(0) remaining in
-      decr budget;
-      if !budget <= 0 then
-        failwith "Ode.solve_adaptive_auto_scan: max_steps exhausted";
-      let h_try = Float.min h_try0 h_suggest.(0) in
-      let h_try = Float.max h_try h_min in
-      ws.dhp.(0) <- h_try;
-      dopri5_auto_core ws f !ya trial err_acc;
-      let err = err_acc.(0) in
-      scale_acc.(0) <- atol;
-      for i = 0 to dim - 1 do
-        scale_acc.(0) <-
-          Float.max scale_acc.(0)
-            (rtol *. Float.max (Float.abs !ya.(i)) (Float.abs trial.(i)))
-      done;
-      let ratio = err /. scale_acc.(0) in
-      let ratio = if Float.is_finite ratio then ratio else infinity in
-      if ratio <= 1. || h_try <= h_min *. 1.0001 then begin
-        let grow =
-          if ratio <= 0. then 5. else Float.min 5. (0.9 *. (ratio ** -0.2))
-        in
-        h_suggest.(0) <- Float.min h_max (h_try *. Float.max 1. grow);
-        incr n_steps;
-        let h_acc = h_try in
-        Array.blit trial 0 !yb 0 dim;
-        let t_next = tcur.(0) +. h_acc in
-        (match monitor with Some m -> m.on_step t_next h_acc | None -> ());
-        if n_ev > 0 then begin
-          pt.(0) <- t_next;
-          Array.blit !yb 0 pt 1 dim;
-          gs.gs_eval pt g_next
-        end;
-        let stop_here = ref None in
-        for e = 0 to n_ev - 1 do
-          if fires_at e then begin
-            (* inline [localize_into]'s
-               [Roots.bisect ~tol:1e-13 ~max_iter:100 phi 1e-15 1.]
-               (No_bracket falls back to the end of the step) *)
-            bst.(5) <- h_acc;
-            bei.(0) <- e;
-            bst.(3) <- 1e-15;
-            eval_phi ();
-            let fa = bst.(4) in
-            bst.(3) <- 1.;
-            eval_phi ();
-            let fb = bst.(4) in
-            let s_root =
-              if fa = 0. then 1e-15
-              else if fb = 0. then 1.
-              else if fa *. fb > 0. then 1.
-              else begin
-                bst.(0) <- 1e-15;
-                bst.(1) <- 1.;
-                bst.(2) <- fa;
-                let i = ref 0 in
-                while bst.(1) -. bst.(0) > 1e-13 && !i < 100 do
-                  incr i;
-                  let mid = 0.5 *. (bst.(0) +. bst.(1)) in
-                  bst.(3) <- mid;
-                  eval_phi ();
-                  let fm = bst.(4) in
-                  if fm = 0. then begin
-                    bst.(0) <- mid;
-                    bst.(1) <- mid
-                  end
-                  else if bst.(2) *. fm < 0. then bst.(1) <- mid
-                  else begin
-                    bst.(0) <- mid;
-                    bst.(2) <- fm
-                  end
-                done;
-                0.5 *. (bst.(0) +. bst.(1))
-              end
-            in
-            ws.dhp.(0) <- s_root *. h_acc;
-            dopri5_auto_core ws f !ya scratch err_acc;
-            let t_ev = tcur.(0) +. (s_root *. h_acc) in
-            (match on_event_raw with
-            | Some cb ->
-                (* borrowed packed buffer, same protocol as [on_point];
-                   [pt] is dead here until the next localization or
-                   accepted step rewrites it *)
-                pt.(0) <- t_ev;
-                Array.blit scratch 0 pt 1 dim;
-                cb e pt
-            | None -> ());
-            if record_occs || Option.is_some on_event || gs.gs_terminal.(e)
-            then begin
-              let oc =
-                {
-                  oc_name = gs.gs_names.(e);
-                  oc_t = t_ev;
-                  oc_y = Array.copy scratch;
-                }
-              in
-              if record_occs then occs := oc :: !occs;
-              (match on_event with Some cb -> cb oc | None -> ());
-              if gs.gs_terminal.(e) then
-                match !stop_here with
-                | Some (prev_oc : occurrence) when prev_oc.oc_t <= t_ev -> ()
-                | Some _ | None -> stop_here := Some oc
-            end
-          end
-        done;
-        match !stop_here with
-        | Some oc ->
-            terminated := Some oc;
-            pt.(0) <- oc.oc_t;
-            Array.blit oc.oc_y 0 pt 1 dim;
-            on_point pt;
-            continue_ := false
-        | None ->
-            tcur.(0) <- t_next;
-            let tmp = !ya in
-            ya := !yb;
-            yb := tmp;
-            pt.(0) <- t_next;
-            Array.blit !ya 0 pt 1 dim;
-            on_point pt;
-            Array.blit g_next 0 g_prev 0 n_ev;
-            hcur.(0) <- h_suggest.(0)
-      end
-      else begin
-        let shrink = Float.max 0.1 (0.9 *. (ratio ** -0.25)) in
-        let h_new = Float.max h_min (h_try *. shrink) in
-        if h_new <= h_min && h_try <= h_min *. 1.0001 then
-          failwith "Ode.solve_adaptive_auto_scan: step size underflow";
-        h_suggest.(0) <- h_new;
-        incr n_rejected;
-        (match monitor with Some m -> m.on_reject tcur.(0) h_try0 | None -> ());
-        hcur.(0) <- h_new
-      end
-    end
-  done;
-  {
-    sc_occs = List.rev !occs;
-    sc_terminated = !terminated;
-    sc_steps = !n_steps;
-    sc_rejected = !n_rejected;
-  }
 
 let state_at sol t =
   let n = Array.length sol.ts in

@@ -9,6 +9,13 @@
     tolerance, the state at the crossing is recorded, and integration can
     optionally terminate there.
 
+    The module has two tiers. The {e reference tier} ({!step},
+    {!solve_fixed}, {!solve_adaptive}) is plain allocating code over
+    closures; the {e production tier} ({!step_auto_into}, {!solve}) runs
+    the same arithmetic in place over autonomous fields. The two agree
+    bit for bit — the test suite checks every sample, occurrence, step
+    count and right-hand-side call count.
+
     State vectors are [float array]s of arbitrary dimension. Fields must
     not retain or mutate the array they are given. *)
 
@@ -42,10 +49,11 @@ type monitor = {
       (** [on_reject t h] after each rejected trial step of size [h]
           attempted from time [t] (adaptive methods only). *)
 }
-(** Telemetry hook for the solvers. Numerics sits below [lib/telemetry]
-    in the dependency stack, so the hook is a plain callback record;
-    [Telemetry.Probe.ode_monitor] adapts a probe into one. Passing no
-    monitor costs one pattern match per step and allocates nothing. *)
+(** Telemetry hook for the reference solvers. Numerics sits below
+    [lib/telemetry] in the dependency stack, so the hook is a plain
+    callback record; [Telemetry.Probe.ode_monitor] adapts a probe into
+    one. Passing no monitor costs one pattern match per step and
+    allocates nothing. *)
 
 type solution = {
   ts : float array;  (** accepted step times, [ts.(0) = t0] *)
@@ -57,82 +65,19 @@ type solution = {
   n_rejected : int;  (** rejected steps (adaptive methods only) *)
 }
 
+type solver =
+  | Fixed of method_ * float  (** method and step size *)
+  | Adaptive of float * float
+      (** Dormand–Prince 5(4) with PI-style step control: rtol, atol *)
+
 val state_at : solution -> float -> float array
 (** [state_at sol t] linearly interpolates the stored trajectory at time
     [t]. Clamps outside the stored range. *)
 
+(** {1 Reference tier} *)
+
 val step : method_ -> field -> float -> float array -> float -> float array
 (** [step m f t y h] advances one step of size [h]. *)
-
-(** {1 Allocation-free stepping}
-
-    The [step] above allocates the stage arrays [k1..k4] and the result
-    on every call, which dominates the cost of long fixed-step
-    integrations. The in-place API below reuses a preallocated
-    {!workspace} instead; [step_into] is bit-for-bit equivalent to
-    [step] (same expressions, same evaluation order — the test suite
-    asserts exact equality). *)
-
-type field_into = float -> float array -> float array -> unit
-(** [f t y dst] writes [dy/dt] into [dst] instead of allocating. [dst]
-    never aliases [y]. *)
-
-type field_auto = float array -> float array -> unit
-(** Autonomous right-hand side: [f y dst] writes [dy/dt] into [dst].
-    Because no [float] crosses the closure boundary (OCaml boxes float
-    arguments of indirect calls), stepping an autonomous field performs
-    {e zero} minor-heap allocation per step — the BCN systems are all
-    autonomous, so this is the hot-loop form. *)
-
-type workspace
-(** Preallocated stage buffers ([k1..k4] and a stage-state scratch) for
-    one in-place integration; create once, reuse across steps. A
-    workspace is not safe to share between domains — create one per
-    domain. *)
-
-val workspace : int -> workspace
-(** [workspace dim] allocates buffers for states of dimension [dim] (or
-    smaller). *)
-
-val workspace_dim : workspace -> int
-
-val step_into :
-  workspace -> method_ -> field_into -> float -> float array -> float ->
-  float array -> unit
-(** [step_into ws m f t y h dst] advances one step of size [h], writing
-    the new state into [dst]. [dst == y] is allowed (true in-place
-    update). Bit-for-bit equal to [step m _ t y h] for the equivalent
-    field. Raises [Invalid_argument] if the state is larger than the
-    workspace. Remaining allocation: only the boxing of the stage times
-    passed to [f] (at most 4 small boxes per step); use
-    {!step_auto_into} for the zero-allocation path. *)
-
-val step_auto_into :
-  workspace -> method_ -> field_auto -> float array -> float ->
-  float array -> unit
-(** [step_auto_into ws m f y h dst] — like {!step_into} for autonomous
-    fields, with zero minor-heap allocation per step (asserted by the
-    test suite via [Gc.minor_words]). *)
-
-val field_into_of_field : field -> field_into
-(** Adapter (copies the allocated derivative into [dst]; for porting,
-    not for speed). *)
-
-val field_into_of_auto : field_auto -> field_into
-
-val solve_fixed_into :
-  ?method_:method_ ->
-  ?events:event list ->
-  ?monitor:monitor ->
-  h:float ->
-  t_end:float ->
-  field_into ->
-  t0:float ->
-  y0:float array ->
-  solution
-(** {!solve_fixed} over an in-place field: identical results (bit for
-    bit) but the inner loop allocates only the recorded trajectory
-    point per accepted step, not the RK stages. *)
 
 val solve_fixed :
   ?method_:method_ ->
@@ -147,15 +92,13 @@ val solve_fixed :
 (** Fixed-step integration from [t0] to [t_end] with step [h] (the last
     step is shortened to land exactly on [t_end]). Guards are evaluated at
     step boundaries; a sign change is refined by bisection on the step
-    fraction to a relative time tolerance of 1e-12. *)
+    fraction to a relative time tolerance of 1e-12. [t_end <= t0] yields
+    the initial point alone. Raises [Invalid_argument] unless [h > 0] and
+    [h], [t0], [t_end] are finite. *)
 
 val solve_adaptive :
   ?rtol:float ->
   ?atol:float ->
-  ?h0:float ->
-  ?h_min:float ->
-  ?h_max:float ->
-  ?max_steps:int ->
   ?events:event list ->
   ?monitor:monitor ->
   t_end:float ->
@@ -164,160 +107,106 @@ val solve_adaptive :
   y0:float array ->
   solution
 (** Adaptive Dormand–Prince 5(4) integration with PI-style step control.
-    Defaults: [rtol=1e-8], [atol=1e-10], [max_steps=2_000_000].
-    Raises [Failure] if the step size underflows [h_min] or the step budget
-    is exhausted before [t_end]. *)
+    Defaults: [rtol=1e-8], [atol=1e-10]. The first trial step is
+    [(t_end - t0) / 100], steps never exceed [t_end - t0] nor go below
+    [1e-14], and at most [2_000_000] trial steps are taken. Raises
+    [Invalid_argument] if [t0] or [t_end] is not finite or
+    [t_end <= t0], and [Failure] if the step size underflows or the step
+    budget is exhausted before [t_end]. *)
 
-val solve_adaptive_into :
-  ?rtol:float ->
-  ?atol:float ->
-  ?h0:float ->
-  ?h_min:float ->
-  ?h_max:float ->
-  ?max_steps:int ->
-  ?events:event list ->
-  ?monitor:monitor ->
-  t_end:float ->
-  field_into ->
-  t0:float ->
-  y0:float array ->
-  solution
-(** {!solve_adaptive} over an in-place field: bit-for-bit identical
-    results (same step-control decisions, same field-evaluation sequence
-    — the trial step for the error estimate and the accepted step are
-    both evaluated, exactly as in {!solve_adaptive}), but the RK stages
-    live in a reused workspace and event localization reuses one
-    scratch state. Per accepted step only the recorded trajectory point
-    is allocated. *)
+val convergence_order :
+  method_ -> field -> t0:float -> y0:float array -> t_end:float ->
+  exact:(float -> float array) -> float
+(** Empirical convergence order of a fixed-step method, estimated from the
+    error ratio between step sizes [h] and [h/2]. Used by the test suite. *)
 
-val solve_adaptive_auto_into :
-  ?rtol:float ->
-  ?atol:float ->
-  ?h0:float ->
-  ?h_min:float ->
-  ?h_max:float ->
-  ?max_steps:int ->
-  ?events:event list ->
-  ?monitor:monitor ->
-  t_end:float ->
-  field_auto ->
-  t0:float ->
-  y0:float array ->
-  solution
-(** {!solve_adaptive_into} for autonomous fields — the hot-loop form for
-    the (autonomous) BCN systems. Bit-for-bit identical solutions, but
-    no float crosses a call boundary on the per-step path: the stepper
-    reads its step size from a workspace mailbox and the field takes no
-    time argument, so per accepted step only the recorded trajectory
-    point is allocated (plus a handful of words for guard evaluations
-    when events are armed). *)
+(** {1 Production tier} *)
 
-(** {1 Streaming adaptive scan}
+type field_auto = float array -> float array -> unit
+(** Autonomous in-place right-hand side: [f y dst] writes [dy/dt] into
+    [dst] ([dst] never aliases [y]). Because no [float] crosses the
+    closure boundary (OCaml boxes float arguments of indirect calls),
+    stepping an autonomous field performs {e zero} minor-heap allocation
+    per step — the BCN systems are all autonomous. *)
 
-    The recording driver above allocates one trajectory point per
-    accepted step. When the consumer only folds over the samples
-    (transient metrics, verdict classification), even that is waste:
-    {!solve_adaptive_auto_scan} runs the identical controller and event
-    machinery but hands each accepted sample to a callback through one
-    reused buffer and then forgets it. *)
+type workspace
+(** Preallocated stage buffers for one in-place integration; create
+    once, reuse across steps. A workspace is not safe to share between
+    domains — create one per domain. *)
+
+val workspace : int -> workspace
+(** [workspace dim] allocates buffers for states of dimension [dim] (or
+    smaller). Raises [Invalid_argument] if [dim < 1]. *)
+
+val step_auto_into :
+  workspace -> method_ -> field_auto -> float array -> float ->
+  float array -> unit
+(** [step_auto_into ws m f y h dst] advances one step of size [h],
+    writing the new state into [dst]. [dst == y] is allowed (true
+    in-place update). Bit-for-bit equal to [step m _ t y h] for the
+    equivalent field, with zero minor-heap allocation per step (asserted
+    by the test suite via [Gc.minor_words]). Raises [Invalid_argument] if
+    the state is larger than the workspace. *)
 
 type guard_spec = {
   gs_names : string array;
   gs_dirs : direction array;
   gs_terminal : bool array;
-  gs_eval : float array -> float array -> unit;
-      (** [gs_eval pt dst] evaluates every guard at the packed sample
-          [pt = [|t; y_0; ...; y_{dim-1}|]], writing guard [e]'s value
-          to [dst.(e)]. Packing keeps floats out of call boundaries so
-          hand-written guard sets stay allocation-free. *)
+  gs_eval : int -> float array -> float array -> unit;
+      (** [gs_eval e pt dst] evaluates guard [e] at the packed sample
+          [pt = [|t; y_0; ...; y_{dim-1}|]], writing its value to
+          [dst.(e)]. Packing keeps floats out of call boundaries so
+          hand-written guard sets stay allocation-free, and the
+          per-index form lets event localization evaluate only the
+          guard it bisects. *)
 }
 (** A closure-free rendering of an {!event} list: parallel arrays of
-    names/directions/terminal flags plus one bulk guard evaluator. *)
-
-type scan_result = {
-  sc_occs : occurrence list;
-      (** in chronological order; empty under [record_occs:false] *)
-  sc_terminated : occurrence option;
-  sc_steps : int;
-  sc_rejected : int;
-}
+    names/directions/terminal flags plus one guard evaluator. Guards
+    must be pure. *)
 
 val guards_of_events : dim:int -> event list -> guard_spec
-(** Generic adapter from an {!event} list (guards evaluate exactly as
-    the recording driver would). Costs a boxed time and a state blit
-    per bulk evaluation — hand-build a {!guard_spec} for zero-allocation
-    scans. *)
+(** Adapter from an {!event} list (guards evaluate exactly as the
+    reference solvers evaluate them). Costs a boxed time and a state
+    blit per evaluation — hand-build a {!guard_spec} for
+    zero-allocation runs. *)
 
-val solve_adaptive_auto_scan :
-  ?rtol:float ->
-  ?atol:float ->
-  ?h0:float ->
-  ?h_min:float ->
-  ?h_max:float ->
-  ?max_steps:int ->
-  ?guards:guard_spec ->
-  ?monitor:monitor ->
-  ?record_occs:bool ->
-  ?on_event:(occurrence -> unit) ->
-  ?on_event_raw:(int -> float array -> unit) ->
-  on_point:(float array -> unit) ->
-  t_end:float ->
+(** Where {!solve} sends the trajectory. *)
+type _ sink =
+  | Record : solution sink
+      (** Store every sample and occurrence and return them. *)
+  | Stream : {
+      on_point : float array -> unit;
+          (** Each sample — the initial state, each accepted step and,
+              on termination, the event state last — as the one reused
+              packed buffer [[|t; y...|]]; copy it to keep it. *)
+      on_event : int -> float array -> unit;
+          (** Each occurrence, in chronological order: the guard's index
+              into [gs_names] and the event state through the same
+              borrowed packed buffer. *)
+    }
+      -> unit sink
+      (** Hand each sample and occurrence to a callback and forget it.
+          With a closure-free {!guard_spec} the run allocates nothing
+          per step. *)
+
+val solve :
+  solver ->
+  guard_spec ->
+  'r sink ->
   field_auto ->
   t0:float ->
+  t_end:float ->
   y0:float array ->
-  scan_result
-(** Streaming {!solve_adaptive_auto_into}: same controller expressions,
-    same step sequence, same event localization, so the samples handed
-    to [on_point] are bit-for-bit the points the recording driver would
-    have stored (initial state, each accepted step, and on termination
-    the event state last). [on_point] receives the one reused packed
-    buffer [[|t; y...|]] — copy it to keep it. [on_event] fires as each
-    occurrence is recorded, in the same order as {!solution}[.occs].
-    Steady-state allocation is zero for a closure-free [guards]: the
-    only per-run allocations are the occurrence records themselves —
-    and those too can be switched off. [record_occs:false] leaves
-    [sc_occs] empty; [on_event_raw] is the matching allocation-free
-    event stream: it receives the guard's {e index} into
-    [gs_names]/[gs_dirs] and the event state through the same borrowed
-    packed buffer as [on_point] (copy to keep), firing just before
-    [on_event] for each occurrence. With [record_occs:false], no
-    [on_event], and no terminal guard fired, a scan allocates no
-    occurrence records at all. *)
-
-type dopri_workspace
-(** Preallocated stage buffers for {!dopri5_into}; create once per
-    integration (not domain-safe to share). *)
-
-val dopri_workspace : int -> dopri_workspace
-(** [dopri_workspace dim] sizes the buffers for states of dimension
-    [dim]. *)
-
-val dopri5_into :
-  dopri_workspace ->
-  field_into ->
-  float ->
-  float array ->
-  float ->
-  float array ->
-  float array ->
-  unit
-(** [dopri5_into ws f t y h dst err] — one Dormand–Prince 5(4) step
-    written into [dst], with the embedded error estimate written into
-    [err.(0)] (a 1-element accumulator; a [ref float] would box on every
-    store). Bit-for-bit equal to the allocating step inside
-    {!solve_adaptive}. [dst] must not alias [y]. *)
-
-val dopri5_auto_into :
-  dopri_workspace ->
-  field_auto ->
-  float array ->
-  float ->
-  float array ->
-  float array ->
-  unit
-(** [dopri5_auto_into ws f y h dst err] — {!dopri5_into} for autonomous
-    fields: same stage arithmetic bit for bit, no stage times
-    materialized. [dst] must not alias [y]. *)
+  'r
+(** The production driver: {!solve_fixed} or {!solve_adaptive} (same
+    defaults, limits and exceptions) for an autonomous field. Every
+    sample, occurrence, terminal event, [n_steps] and [n_rejected] is
+    bit-for-bit what the reference solver returns for the equivalent
+    field and event list, and the field is called the same number of
+    times: with [Adaptive], the [Record] sink evaluates each accepted
+    step a second time, as the reference driver does; the [Stream] sink
+    keeps the trial state instead (7 right-hand-side calls fewer per
+    accepted step, same bits). *)
 
 (** {1 Event machinery for external drivers}
 
@@ -342,9 +231,8 @@ val localize_into :
     inside the accepted step [t, t+h] starting from [y], evaluating
     intermediate states with [single_into] into [scratch]
     (allocation-free); returns [(t_event, y_event)] with [y_event]
-    freshly allocated. Bit-identical to the driver's internal
-    localization when [single_into] writes the bits the driver's step
-    function returns. *)
+    freshly allocated. Bit-identical to the drivers' localization when
+    [single_into] writes the bits the driver's step function returns. *)
 
 (** {1 Batched structure-of-arrays stepping}
 
@@ -353,7 +241,7 @@ val localize_into :
     state, the four RK stages and the scratch sweeps, so each stage is
     a single pass over unboxed memory and the right-hand side is one
     sweep over all lanes instead of [n] closure calls. Per-lane
-    arithmetic mirrors {!step_into} expression for expression, so
+    arithmetic mirrors {!step_auto_into} expression for expression, so
     advancing lane [i] is bit-for-bit identical to advancing
     [[|xs.(i); ys.(i)|]] with the scalar stepper. Used by
     [Phaseplane.Front] and the strong-stability basin raster. *)
@@ -392,8 +280,6 @@ module Batch : sig
   val create : int -> t
   (** [create n] — a front of [n] lanes, all active, [h = 0.]. *)
 
-  val lanes : t -> int
-
   val set_h : t -> float -> unit
   (** Store the step size. A separate (one-time) store rather than a
       per-call [float] argument: a float crossing a non-inlined call
@@ -401,7 +287,6 @@ module Batch : sig
 
   val is_active : t -> int -> bool
   val set_active : t -> int -> bool -> unit
-  val active_count : t -> int
 
   val select :
     t ->
@@ -422,15 +307,3 @@ module Batch : sig
   val step : t -> method_ -> rhs -> unit
   (** Method-dispatching variant of {!step_rk4} (Euler / Heun / RK4). *)
 end
-
-val rkf45_step :
-  field -> float -> float array -> float -> float array * float
-(** One Fehlberg 4(5) step: returns the 5th-order solution and the
-    embedded error estimate (max-norm of the 4th/5th order difference).
-    Exposed for the solver-ablation benchmark. *)
-
-val convergence_order :
-  method_ -> field -> t0:float -> y0:float array -> t_end:float ->
-  exact:(float -> float array) -> float
-(** Empirical convergence order of a fixed-step method, estimated from the
-    error ratio between step sizes [h] and [h/2]. Used by the test suite. *)

@@ -5,11 +5,11 @@ open Numerics
    Advances every initial point in lock-step on the shared time grid of
    the fixed-step driver (all lanes see the same (t, h) sequence, since
    the grid depends only on t0/t_end/h), with the per-lane event
-   bookkeeping of [Ode.run_driver] reproduced exactly:
+   bookkeeping of the fixed-step drivers reproduced exactly:
 
    - guards are sampled at step boundaries and fed to [Ode.fires];
    - a firing guard is localized by [Ode.localize_into] from the lane's
-     pre-step state with a scalar [step_into] — the batched stepper
+     pre-step state with the scalar [step_auto_into] — the batched stepper
      mirrors the scalar one expression for expression, so the base
      state the bisection starts from is bit-identical;
    - a terminal event freezes the lane (clears its [active] flag); the
@@ -25,7 +25,6 @@ open Numerics
 let integrate_batch ~method_ ~h ~t_max ?converge_radius ?box sys
     (pts : Vec2.t array) : Trajectory.t array =
   let n = Array.length pts in
-  if h <= 0. then invalid_arg "Front.integrate: h <= 0";
   if n = 0 then [||]
   else begin
     let events =
@@ -41,8 +40,8 @@ let integrate_batch ~method_ ~h ~t_max ?converge_radius ?box sys
     (* scalar stepper for event localization: same workspace stepper the
        per-point driver localizes with, hence the same bits *)
     let ws = Ode.workspace 2 in
-    let f_into = System.to_ode_into sys in
-    let single_into t y hh dst = Ode.step_into ws method_ f_into t y hh dst in
+    let f = System.to_auto sys in
+    let single_into _t y hh dst = Ode.step_auto_into ws method_ f y hh dst in
     (* pre-step states, for localization bases *)
     let px = Array.make n 0. and py = Array.make n 0. in
     let y2 = [| 0.; 0. |] in
@@ -149,6 +148,12 @@ let chunk_bounds n jobs =
 
 let integrate ?(method_ = Ode.Rk4) ~h ?(t_max = 100.) ?converge_radius ?box
     ?(jobs = 1) sys pts =
+  (* same rejections as the per-point drivers: a NaN step or horizon
+     would otherwise march forever or end silently *)
+  if not (h > 0. && Float.is_finite h) then
+    invalid_arg "Front.integrate: h must be finite and > 0";
+  if not (Float.is_finite t_max) then
+    invalid_arg "Front.integrate: t_max must be finite";
   let n = Array.length pts in
   if jobs <= 1 || n <= 1 then
     integrate_batch ~method_ ~h ~t_max ?converge_radius ?box sys pts

@@ -21,17 +21,10 @@ let line_section ?(dir = Ode.Both) ~normal () =
 
 type return_ = { s_next : float; time : float; point : Vec2.t }
 
-(* In-place solvers on both arms — bit-identical to the allocating ones,
-   without the per-step stage-array churn; the adaptive arm additionally
-   exploits that every {!System.t} is autonomous. *)
 let solve_with_event solver event ~t_max sys ~y0 =
-  match solver with
-  | Trajectory.Fixed (m, h) ->
-      Ode.solve_fixed_into ~method_:m ~events:[ event ] ~h ~t_end:t_max
-        (System.to_ode_into sys) ~t0:0. ~y0
-  | Trajectory.Adaptive (rtol, atol) ->
-      Ode.solve_adaptive_auto_into ~rtol ~atol ~events:[ event ] ~t_end:t_max
-        (System.to_auto sys) ~t0:0. ~y0
+  Ode.solve solver
+    (Ode.guards_of_events ~dim:2 [ event ])
+    Ode.Record (System.to_auto sys) ~t0:0. ~t_end:t_max ~y0
 
 let return_map ?(solver = Trajectory.Adaptive (1e-10, 1e-13)) ?(t_max = 1000.)
     sys sec s =

@@ -42,25 +42,10 @@ let region sys p =
       else if s > 0. then `Pos
       else `Neg
 
-let to_ode sys : Ode.field =
- fun _t y ->
-  let v = eval sys (Vec2.make y.(0) y.(1)) in
-  [| v.Vec2.x; v.Vec2.y |]
-
 (* The generic adapter funnels through the closure fields (allocating
    two Vec2 per evaluation); a [Switched_fast] system instead carries a
    hand-written [rhs] whose expressions mirror its closures bit for bit,
    so the in-place solvers evaluate it with zero allocation. *)
-let to_ode_into sys : Ode.field_into =
-  match sys with
-  | Switched_fast { rhs; _ } | Smooth_fast { rhs; _ } ->
-      fun _t y dst -> rhs y dst
-  | Smooth _ | Switched _ ->
-      fun _t y dst ->
-        let v = eval sys (Vec2.make y.(0) y.(1)) in
-        dst.(0) <- v.Vec2.x;
-        dst.(1) <- v.Vec2.y
-
 let to_auto sys : Ode.field_auto =
   match sys with
   | Switched_fast { rhs; _ } | Smooth_fast { rhs; _ } -> rhs
@@ -71,7 +56,7 @@ let to_auto sys : Ode.field_auto =
         dst.(1) <- v.Vec2.y
 
 (* Batched sweep for any system: the fallback evaluates the closures
-   lane by lane (same expressions as [to_ode_into], so batching stays
+   lane by lane (same expressions as [to_auto], so batching stays
    bit-identical to per-point stepping even for closure-based systems);
    [Switched_fast] carries a dedicated SoA sweep. *)
 let batch_rhs sys : Ode.Batch.rhs =

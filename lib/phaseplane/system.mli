@@ -58,20 +58,13 @@ val eval : t -> Numerics.Vec2.t -> Numerics.Vec2.t
 val region : t -> Numerics.Vec2.t -> [ `Pos | `Neg | `Boundary ]
 (** Which branch governs the point ([`Boundary] within [1e-12]·scale). *)
 
-val to_ode : t -> Numerics.Ode.field
-(** Adapter to the array-based ODE solvers; state is [[|x; y|]]. *)
-
-val to_ode_into : t -> Numerics.Ode.field_into
-(** In-place adapter for the allocation-free solvers ({!Numerics.Ode}
-    [solve_fixed_into] / [solve_adaptive_into]); writes the field value
-    into the destination array instead of allocating it. For
-    [Switched_fast] and [Smooth_fast] this is the carried [rhs] (zero
-    allocation per evaluation); otherwise it funnels through the
-    closures (two [Vec2] per evaluation) with identical results. *)
-
 val to_auto : t -> Numerics.Ode.field_auto
-(** Autonomous in-place form (the systems here are all autonomous);
-    same dispatch as {!to_ode_into}. *)
+(** In-place form for the production solvers ({!Numerics.Ode.solve},
+    {!Numerics.Ode.step_auto_into}); the systems here are all
+    autonomous. For [Switched_fast] and [Smooth_fast] this is the
+    carried [rhs] (zero allocation per evaluation); otherwise it funnels
+    through the closures (two [Vec2] per evaluation) with identical
+    results. *)
 
 val batch_rhs : t -> Numerics.Ode.Batch.rhs
 (** SoA sweep for batched front integration. [Switched_fast] and

@@ -1,6 +1,6 @@
 open Numerics
 
-type solver =
+type solver = Ode.solver =
   | Fixed of Ode.method_ * float
   | Adaptive of float * float
 
@@ -92,63 +92,12 @@ let of_solution (sol : Ode.solution) =
 
 let integrate ?(solver = Adaptive (1e-9, 1e-12)) ?(t_max = 100.)
     ?converge_radius ?box sys p0 =
-  let events = events_for ?converge_radius ?box sys in
-  let y0 = Vec2.to_array p0 in
-  let sol =
-    (* in-place steppers on both paths: same results bit-for-bit, no
-       stage-array churn in the inner loops (and zero allocation per
-       field evaluation for [Switched_fast] systems) *)
-    match solver with
-    | Fixed (m, h) ->
-        Ode.solve_fixed_into ~method_:m ~events ~h ~t_end:t_max
-          (System.to_ode_into sys) ~t0:0. ~y0
-    | Adaptive (rtol, atol) ->
-        Ode.solve_adaptive_auto_into ~rtol ~atol ~events ~t_end:t_max
-          (System.to_auto sys) ~t0:0. ~y0
+  let guards =
+    Ode.guards_of_events ~dim:2 (events_for ?converge_radius ?box sys)
   in
-  of_solution sol
-
-type scan = {
-  scan_switch : crossing list;
-  scan_axis : crossing list;
-  scan_stop : stop_reason;
-  scan_steps : int;
-  scan_rejected : int;
-}
-
-let scan ?(rtol = 1e-9) ?(atol = 1e-12) ?(t_max = 100.) ?converge_radius ?box
-    ?guards ?on_event ~on_point sys p0 =
-  let gs =
-    match guards with
-    | Some g -> g
-    | None -> Ode.guards_of_events ~dim:2 (events_for ?converge_radius ?box sys)
-  in
-  let y0 = Vec2.to_array p0 in
-  let res =
-    Ode.solve_adaptive_auto_scan ~rtol ~atol ~guards:gs ?on_event ~on_point
-      ~t_end:t_max (System.to_auto sys) ~t0:0. ~y0
-  in
-  let pick name =
-    List.filter_map
-      (fun (oc : Ode.occurrence) ->
-        if String.equal oc.Ode.oc_name name then
-          Some { ct = oc.Ode.oc_t; cp = Vec2.of_array oc.Ode.oc_y }
-        else None)
-      res.Ode.sc_occs
-  in
-  let stop =
-    match res.Ode.sc_terminated with
-    | Some oc when String.equal oc.Ode.oc_name "converged" -> Converged
-    | Some oc when String.equal oc.Ode.oc_name "left_box" -> Left_box
-    | Some _ | None -> Time_limit
-  in
-  {
-    scan_switch = pick "switch";
-    scan_axis = pick "axis";
-    scan_stop = stop;
-    scan_steps = res.Ode.sc_steps;
-    scan_rejected = res.Ode.sc_rejected;
-  }
+  of_solution
+    (Ode.solve solver guards Ode.Record (System.to_auto sys) ~t0:0.
+       ~t_end:t_max ~y0:(Vec2.to_array p0))
 
 let points tr =
   Array.init (Array.length tr.sol.Ode.ts) (fun i ->

@@ -8,7 +8,7 @@
     and stopping on convergence to the equilibrium, on leaving a bounding
     box, or at the time horizon. *)
 
-type solver =
+type solver = Numerics.Ode.solver =
   | Fixed of Numerics.Ode.method_ * float  (** method and step size *)
   | Adaptive of float * float  (** rtol, atol *)
 
@@ -48,37 +48,6 @@ val events_for :
 (** The exact event list {!integrate} hands the solver, in the same
     order. Exposed so the batched driver ({!Front}) reproduces the event
     semantics of per-point integration bit for bit. *)
-
-type scan = {
-  scan_switch : crossing list;
-  scan_axis : crossing list;
-  scan_stop : stop_reason;
-  scan_steps : int;
-  scan_rejected : int;
-}
-(** {!t} without the stored trajectory — what a streaming integration
-    leaves behind. *)
-
-val scan :
-  ?rtol:float ->
-  ?atol:float ->
-  ?t_max:float ->
-  ?converge_radius:float ->
-  ?box:Numerics.Vec2.t * Numerics.Vec2.t ->
-  ?guards:Numerics.Ode.guard_spec ->
-  ?on_event:(Numerics.Ode.occurrence -> unit) ->
-  on_point:(float array -> unit) ->
-  System.t ->
-  Numerics.Vec2.t ->
-  scan
-(** Streaming {!integrate} (adaptive solver only, same [rtol=1e-9],
-    [atol=1e-12] defaults): every sample the recording integrator would
-    have stored is handed to [on_point] as the packed reused buffer
-    [[|t; x; y|]], bit-for-bit identical, and then dropped. [guards]
-    overrides the {!events_for} event set with a closure-free
-    {!Numerics.Ode.guard_spec} evaluating the same guard values —
-    callers hand-specialize it to make the scan allocation-free (the
-    generic adapter boxes a time per step). *)
 
 val of_solution : Numerics.Ode.solution -> t
 (** Wrap a raw solver solution with the phase-plane bookkeeping

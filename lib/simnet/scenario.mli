@@ -297,32 +297,14 @@ val outcome_model : outcome -> string
 (** ["bcn"] / ["e2cm"] / ["fera"] / ["multihop"] / ["rcp"] — matches
     {!describe}'s leading token. *)
 
-(** {2 Per-model configs (execution layer)}
-
-    These build the raw config records. They do {e not} wire the fault
-    plan (an injector is executable state owned by one run —
-    [Faultnet.Exec] does that through {!compile}) nor, except through
-    {!compile}, the workloads. *)
-
-val to_runner_config : t -> Runner.config
-(** BCN scenarios only; raises [Invalid_argument] otherwise. Bernoulli
-    sampling is seeded from [seed].
-    @deprecated Use {!compile}; this remains for probe-level access to
-    the raw BCN config. *)
+(** {2 Raw BCN configs (execution layer)} *)
 
 val runner_configs : t -> Runner.config array
-(** One config per replica ([Runner.with_seed] at [seed + i]). Length
-    [replicas]. Unlike {!compile}'s [configs], workloads are not
-    wired. *)
-
-val to_e2cm_config : t -> E2cm.config
-(** @deprecated Use {!compile}. *)
-
-val to_fera_config : t -> Fera.config
-(** @deprecated Use {!compile}. *)
-
-val to_multihop_config : t -> Multihop.config
-(** @deprecated Use {!compile}. *)
+(** BCN scenarios only (raises [Invalid_argument] otherwise): one raw
+    config per replica ([Runner.with_seed] at [seed + i]), length
+    [replicas], Bernoulli sampling seeded from [seed]. Unlike
+    {!compile}'s [configs], neither the fault plan nor the workloads
+    are wired — this is the probe-level escape hatch. *)
 
 val of_runner_config : ?seed:int -> ?replicas:int -> Runner.config -> t
 (** Lift an execution config back to a scenario. Raises

@@ -76,16 +76,50 @@ let test_ode_fixed_step_events () =
 
 let test_ode_invalid_args () =
   let f _t y = [| -.y.(0) |] in
-  Alcotest.(check bool) "h <= 0" true
-    (try
-       ignore (Ode.solve_fixed ~h:0. ~t_end:1. f ~t0:0. ~y0:[| 1. |]);
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "t_end <= t0" true
-    (try
-       ignore (Ode.solve_adaptive ~t_end:0. f ~t0:1. ~y0:[| 1. |]);
-       false
-     with Invalid_argument _ -> true)
+  let fa y dst = dst.(0) <- -.y.(0) in
+  let rejects name thunk =
+    Alcotest.(check bool) name true
+      (try
+         ignore (thunk ());
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejects "h <= 0" (fun () ->
+      Ode.solve_fixed ~h:0. ~t_end:1. f ~t0:0. ~y0:[| 1. |]);
+  rejects "t_end <= t0" (fun () ->
+      Ode.solve_adaptive ~t_end:0. f ~t0:1. ~y0:[| 1. |]);
+  (* non-finite steps and horizons: a NaN step would loop forever, a NaN
+     horizon would return a silent one-point solution *)
+  List.iter
+    (fun (label, v) ->
+      rejects ("solve_fixed h = " ^ label) (fun () ->
+          Ode.solve_fixed ~h:v ~t_end:1. f ~t0:0. ~y0:[| 1. |]);
+      rejects ("solve_fixed t_end = " ^ label) (fun () ->
+          Ode.solve_fixed ~h:0.1 ~t_end:v f ~t0:0. ~y0:[| 1. |]);
+      rejects ("solve_fixed t0 = " ^ label) (fun () ->
+          Ode.solve_fixed ~h:0.1 ~t_end:1. f ~t0:v ~y0:[| 1. |]);
+      rejects ("solve_adaptive t_end = " ^ label) (fun () ->
+          Ode.solve_adaptive ~t_end:v f ~t0:0. ~y0:[| 1. |]);
+      rejects ("solve_adaptive t0 = " ^ label) (fun () ->
+          Ode.solve_adaptive ~t_end:1. f ~t0:v ~y0:[| 1. |]);
+      rejects ("solve Fixed h = " ^ label) (fun () ->
+          Ode.solve (Ode.Fixed (Ode.Rk4, v)) (Ode.guards_of_events ~dim:1 [])
+            Ode.Record fa ~t0:0. ~t_end:1. ~y0:[| 1. |]);
+      rejects ("solve Adaptive t_end = " ^ label) (fun () ->
+          Ode.solve (Ode.Adaptive (1e-8, 1e-10)) (Ode.guards_of_events ~dim:1 [])
+            Ode.Record fa ~t0:0. ~t_end:v ~y0:[| 1. |]);
+      rejects ("Front.integrate h = " ^ label) (fun () ->
+          Phaseplane.Front.integrate ~h:v
+            (Phaseplane.System.linear (Mat2.make 0. 1. (-1.) 0.))
+            [| Vec2.make 1. 0. |]);
+      rejects ("Front.integrate t_max = " ^ label) (fun () ->
+          Phaseplane.Front.integrate ~h:0.1 ~t_max:v
+            (Phaseplane.System.linear (Mat2.make 0. 1. (-1.) 0.))
+            [| Vec2.make 1. 0. |]))
+    [ ("nan", nan); ("inf", infinity); ("-inf", neg_infinity) ];
+  (* a fixed-step horizon at or before t0 still yields the initial point *)
+  let sol = Ode.solve_fixed ~h:0.1 ~t_end:0. f ~t0:1. ~y0:[| 1. |] in
+  Alcotest.(check int) "fixed t_end <= t0: one point" 1 (Array.length sol.Ode.ts)
 
 (* ---------------- Series extras ---------------- *)
 

@@ -321,11 +321,6 @@ let test_ode_state_at () =
   let y = Ode.state_at sol 0.5 in
   checkf 1e-4 "interpolated" (exp (-0.5)) y.(0)
 
-let test_rkf45_error_estimate () =
-  let y, err = Ode.rkf45_step decay 0. [| 1. |] 0.1 in
-  checkf 1e-7 "5th order value" (exp (-0.1)) y.(0);
-  Alcotest.(check bool) "error tiny" true (err < 1e-7)
-
 let prop_adaptive_energy =
   QCheck.Test.make ~name:"harmonic oscillator conserves energy" ~count:25
     QCheck.(pair (float_range 0.2 2.) (float_range (-2.) 2.))
@@ -619,7 +614,6 @@ let () =
           Alcotest.test_case "event direction" `Quick test_ode_event_direction;
           Alcotest.test_case "nonterminal events" `Quick test_ode_nonterminal_events;
           Alcotest.test_case "state_at" `Quick test_ode_state_at;
-          Alcotest.test_case "rkf45 step" `Quick test_rkf45_error_estimate;
         ] );
       qsuite "ode-props" [ prop_adaptive_energy ];
       ( "quad",

@@ -2,10 +2,10 @@
    satellites: quadtree-vs-dense-oracle equivalence on half-planes
    (where corner disagreement detects the boundary exactly at every
    stride), jobs byte-identity, warm-memo zero-backend-calls (Hashtbl
-   and content-addressed store), the streaming scan solver against the
-   recording integrator bit for bit, the streaming Transient.measure
+   and content-addressed store), the streaming Transient.measure
    against a reference copy of the recorded implementation, the
-   Safe_region.render extent-label fix, and Resilience.scan. *)
+   streaming solver sink against the recording one on the fluid model,
+   the Safe_region.render extent-label fix, and Resilience.scan. *)
 
 module Engine = Refine.Engine
 
@@ -140,67 +140,6 @@ let test_warm_store_zero_sims () =
       Alcotest.(check int) "warm trace: no new entries" 0 s.Store.Cache.puts;
       marshal_eq "warm trace byte-identical" cold warm)
 
-(* ---------------- streaming scan = recording integrator ----------- *)
-
-let test_scan_solver_bits () =
-  let p = Fluid.Params.default in
-  let sys = Fluid.Model.normalized_system p in
-  let p0 = Fluid.Model.start_point p in
-  let t_max = 2e-3 in
-  let tr = Phaseplane.Trajectory.integrate ~t_max sys p0 in
-  let pts = ref [] in
-  let sc =
-    Phaseplane.Trajectory.scan ~t_max
-      ~on_point:(fun pt -> pts := (pt.(0), pt.(1), pt.(2)) :: !pts)
-      sys p0
-  in
-  let streamed = Array.of_list (List.rev !pts) in
-  let recorded =
-    Array.init
-      (Array.length tr.Phaseplane.Trajectory.sol.Numerics.Ode.ts)
-      (fun i ->
-        ( tr.Phaseplane.Trajectory.sol.Numerics.Ode.ts.(i),
-          tr.Phaseplane.Trajectory.sol.Numerics.Ode.ys.(i).(0),
-          tr.Phaseplane.Trajectory.sol.Numerics.Ode.ys.(i).(1) ))
-  in
-  marshal_eq "streamed samples = recorded samples (bits)" streamed recorded;
-  marshal_eq "switch crossings" tr.Phaseplane.Trajectory.switch_crossings
-    sc.Phaseplane.Trajectory.scan_switch;
-  marshal_eq "axis crossings" tr.Phaseplane.Trajectory.axis_crossings
-    sc.Phaseplane.Trajectory.scan_axis;
-  Alcotest.(check bool)
-    "stop reason" true
-    (tr.Phaseplane.Trajectory.stop = sc.Phaseplane.Trajectory.scan_stop)
-
-let test_scan_solver_terminal () =
-  let p = Fluid.Params.default in
-  let sys = Fluid.Model.normalized_system p in
-  let p0 = Fluid.Model.start_point p in
-  let q0 = p.Fluid.Params.q0 in
-  (* a box the trajectory leaves during its first overshoot, forcing
-     the terminal-event path through both drivers *)
-  let box =
-    ( Numerics.Vec2.make (-2. *. q0) (-1e12),
-      Numerics.Vec2.make (0.1 *. q0) 1e12 )
-  in
-  let tr = Phaseplane.Trajectory.integrate ~t_max:1. ~box sys p0 in
-  let last = ref (nan, nan, nan) in
-  let sc =
-    Phaseplane.Trajectory.scan ~t_max:1. ~box
-      ~on_point:(fun pt -> last := (pt.(0), pt.(1), pt.(2)))
-      sys p0
-  in
-  Alcotest.(check bool)
-    "recorded run left the box" true
-    (tr.Phaseplane.Trajectory.stop = Phaseplane.Trajectory.Left_box);
-  Alcotest.(check bool)
-    "streamed run left the box" true
-    (sc.Phaseplane.Trajectory.scan_stop = Phaseplane.Trajectory.Left_box);
-  let tf, pf = Phaseplane.Trajectory.final tr in
-  marshal_eq "terminal point bits"
-    (tf, pf.Numerics.Vec2.x, pf.Numerics.Vec2.y)
-    !last
-
 (* ---------------- streaming Transient.measure ---------------- *)
 
 (* reference copy of the pre-streaming implementation (recorded
@@ -293,6 +232,112 @@ let test_measure_allocation () =
   Alcotest.(check bool)
     (Printf.sprintf "measure allocates %.0f minor words (< 4000)" dw)
     true (dw < 4000.)
+
+(* ---------------- streaming solver vs recording solver ---------------- *)
+
+(* Run [Ode.solve] with the [Stream] sink over the event list
+   [Trajectory.integrate] builds, copying every borrowed sample and
+   occurrence out as a packed [[|t; y...|]] array. *)
+let stream_run ~solver ?converge_radius ?box ~t_max sys p0 =
+  let guards =
+    Numerics.Ode.guards_of_events ~dim:2
+      (Phaseplane.Trajectory.events_for ?converge_radius ?box sys)
+  in
+  let pts = ref [] and occs = ref [] in
+  Numerics.Ode.solve solver guards
+    (Numerics.Ode.Stream
+       {
+         on_point = (fun pt -> pts := Array.copy pt :: !pts);
+         on_event =
+           (fun e pt ->
+             occs := (guards.Numerics.Ode.gs_names.(e), Array.copy pt) :: !occs);
+       })
+    (Phaseplane.System.to_auto sys) ~t0:0. ~t_end:t_max
+    ~y0:(Numerics.Vec2.to_array p0);
+  (List.rev !pts, List.rev !occs)
+
+(* The same run through the recording sink, packed the same way. *)
+let record_run ~solver ?converge_radius ?box ~t_max sys p0 =
+  let tr =
+    Phaseplane.Trajectory.integrate ~solver ~t_max ?converge_radius ?box sys p0
+  in
+  let sol = tr.Phaseplane.Trajectory.sol in
+  let pts =
+    Array.to_list
+      (Array.map2
+         (fun t y -> Array.append [| t |] y)
+         sol.Numerics.Ode.ts sol.Numerics.Ode.ys)
+  in
+  let occs =
+    List.map
+      (fun (oc : Numerics.Ode.occurrence) ->
+        (oc.Numerics.Ode.oc_name, Array.append [| oc.Numerics.Ode.oc_t |] oc.oc_y))
+      sol.Numerics.Ode.occs
+  in
+  (tr, (pts, occs))
+
+let stream_cases =
+  [
+    ("default", Fluid.Params.default);
+    ("gd = 1", Fluid.Params.with_gains ~gd:1. Fluid.Params.default);
+    ("w = 8000", Fluid.Params.with_sampling ~w:8000. Fluid.Params.default);
+  ]
+
+let stream_solvers =
+  [
+    ("adaptive", Numerics.Ode.Adaptive (1e-9, 1e-12), 2e-3);
+    ("rk4", Numerics.Ode.Fixed (Numerics.Ode.Rk4, 1e-6), 1e-3);
+  ]
+
+let test_scan_differential () =
+  List.iter
+    (fun (plabel, p) ->
+      let sys = Fluid.Model.normalized_system p in
+      let p0 = Fluid.Model.start_point p in
+      List.iter
+        (fun (slabel, solver, t_max) ->
+          let _, recorded = record_run ~solver ~t_max sys p0 in
+          let streamed = stream_run ~solver ~t_max sys p0 in
+          marshal_eq
+            (Printf.sprintf "%s, %s: samples and occurrences" plabel slabel)
+            recorded streamed)
+        stream_solvers)
+    stream_cases
+
+(* A box whose right wall lies halfway between the start point and the
+   equilibrium: the trajectory must leave it, so the run ends on the
+   terminal [left_box] event. The streamed samples end on the event
+   state, exactly as the recorded trajectory does. *)
+let test_scan_terminal () =
+  List.iter
+    (fun (plabel, p) ->
+      let sys = Fluid.Model.normalized_system p in
+      let p0 = Fluid.Model.start_point p in
+      let x0 = p0.Numerics.Vec2.x in
+      let box =
+        ( Numerics.Vec2.make (2. *. x0) (-1e30),
+          Numerics.Vec2.make (0.5 *. x0) 1e30 )
+      in
+      List.iter
+        (fun (slabel, solver, t_max) ->
+          let label = Printf.sprintf "%s, %s" plabel slabel in
+          let tr, recorded = record_run ~solver ~box ~t_max sys p0 in
+          Alcotest.(check bool)
+            (label ^ ": recorded run left the box")
+            true
+            (tr.Phaseplane.Trajectory.stop = Phaseplane.Trajectory.Left_box);
+          let streamed = stream_run ~solver ~box ~t_max sys p0 in
+          marshal_eq (label ^ ": samples and occurrences") recorded streamed;
+          let term =
+            match tr.Phaseplane.Trajectory.sol.Numerics.Ode.terminated with
+            | Some oc -> Array.append [| oc.Numerics.Ode.oc_t |] oc.oc_y
+            | None -> Alcotest.fail "no terminal occurrence"
+          in
+          let last = List.nth (fst streamed) (List.length (fst streamed) - 1) in
+          marshal_eq (label ^ ": last streamed sample is the event state") term
+            last)
+        stream_solvers)
+    stream_cases
 
 (* ---------------- Safe_region.render extent label ---------------- *)
 
@@ -405,14 +450,14 @@ let () =
         ] );
       ( "streaming",
         [
-          Alcotest.test_case "scan solver = recording solver (bits)" `Quick
-            test_scan_solver_bits;
-          Alcotest.test_case "scan solver terminal event" `Quick
-            test_scan_solver_terminal;
           Alcotest.test_case "measure = reference (bits)" `Quick
             test_measure_differential;
           Alcotest.test_case "measure allocation bound" `Quick
             test_measure_allocation;
+          Alcotest.test_case "scan solver = recording solver (bits)" `Quick
+            test_scan_differential;
+          Alcotest.test_case "scan solver terminal event" `Quick
+            test_scan_terminal;
         ] );
       ( "satellites",
         [

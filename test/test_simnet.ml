@@ -111,77 +111,6 @@ let prop_eventq_matches_boxed_oracle =
         ops
       && Simnet.Eventq.size q = Simnet.Eventq_boxed.size oracle)
 
-(* The calendar-queue variant must be observationally identical to the
-   heap: same popped (key, payload) pairs under interleaved push/pop,
-   including FIFO tie-breaks. Tie-prone integer keys exercise the
-   FIFO path; the op count is large enough to cross the calendar's
-   grow/shrink thresholds repeatedly. *)
-let prop_calendar_matches_heap =
-  QCheck.Test.make ~name:"calendar queue matches the heap under interleaving"
-    ~count:300
-    QCheck.(
-      list_of_size (QCheck.Gen.int_range 0 300)
-        (option (int_range 0 7)))
-    (fun ops ->
-      let q = Simnet.Eventq_calendar.create () in
-      let oracle = Simnet.Eventq.create () in
-      let next = ref 0 in
-      List.for_all
-        (fun op ->
-          match op with
-          | Some k ->
-              let key = float_of_int k in
-              Simnet.Eventq_calendar.push q key !next;
-              Simnet.Eventq.push oracle key !next;
-              incr next;
-              Simnet.Eventq_calendar.size q = Simnet.Eventq.size oracle
-          | None -> (
-              match
-                (Simnet.Eventq_calendar.pop q, Simnet.Eventq.pop oracle)
-              with
-              | None, None -> true
-              | Some (k1, v1), Some (k2, v2) -> k1 = k2 && v1 = v2
-              | _ -> false))
-        ops
-      && Simnet.Eventq_calendar.size q = Simnet.Eventq.size oracle)
-
-(* Same oracle over continuous keys (bucket spreading instead of ties)
-   plus an engine-like advancing-time pattern: keys pushed near the
-   current minimum, as packet schedulers do, which drags the calendar
-   cursor forward through year wraps. *)
-let prop_calendar_matches_heap_continuous =
-  QCheck.Test.make
-    ~name:"calendar queue matches the heap on advancing float keys"
-    ~count:200
-    QCheck.(
-      list_of_size (QCheck.Gen.int_range 0 250)
-        (option (float_range 0. 10.)))
-    (fun ops ->
-      let q = Simnet.Eventq_calendar.create () in
-      let oracle = Simnet.Eventq.create () in
-      let now = ref 0. in
-      let next = ref 0 in
-      List.for_all
-        (fun op ->
-          match op with
-          | Some dt ->
-              let key = !now +. dt in
-              Simnet.Eventq_calendar.push q key !next;
-              Simnet.Eventq.push oracle key !next;
-              incr next;
-              true
-          | None -> (
-              match
-                (Simnet.Eventq_calendar.pop q, Simnet.Eventq.pop oracle)
-              with
-              | None, None -> true
-              | Some (k1, v1), Some (k2, v2) ->
-                  now := k1;
-                  k1 = k2 && v1 = v2
-              | _ -> false))
-        ops
-      && Simnet.Eventq_calendar.size q = Simnet.Eventq.size oracle)
-
 let test_eventq_clear () =
   let q = Simnet.Eventq.create () in
   for i = 0 to 9 do
@@ -1245,8 +1174,6 @@ let () =
           prop_eventq_conserves;
           prop_eventq_fifo_under_ties;
           prop_eventq_matches_boxed_oracle;
-          prop_calendar_matches_heap;
-          prop_calendar_matches_heap_continuous;
         ];
       qsuite "model-props"
         [
