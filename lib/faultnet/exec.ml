@@ -2,10 +2,7 @@ module S = Simnet.Scenario
 
 let hooks plan ~replica =
   let inj = Injector.create ~salt:replica plan in
-  {
-    S.channel = Some (Injector.channel inj);
-    setup = Some (Injector.install inj);
-  }
+  { S.channel = Injector.channel inj; setup = Injector.install inj }
 
 let run ?jobs s =
   match S.compile s with

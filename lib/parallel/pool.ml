@@ -190,6 +190,15 @@ let map_array pool f arr =
 
 let map pool f xs = Array.to_list (map_array pool f (Array.of_list xs))
 
+let fan_out ?jobs ~what f arr =
+  if Array.length arr = 0 then [||]
+  else begin
+    let size = match jobs with Some j -> j | None -> default_size () in
+    if size < 1 then invalid_arg (what ^ ": jobs < 1");
+    if size = 1 || Array.length arr = 1 then Array.map f arr
+    else with_pool ~size (fun pool -> map_array pool f arr)
+  end
+
 let parmap_array ?chunk pool f arr =
   let n = Array.length arr in
   if n = 0 then [||]

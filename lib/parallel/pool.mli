@@ -74,6 +74,15 @@ val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map] with one task per element; order-preserving,
     same exception policy as {!map}. *)
 
+val fan_out : ?jobs:int -> what:string -> ('a -> 'b) -> 'a array -> 'b array
+(** [fan_out ~what f arr] maps [f] over [arr] on a fresh pool of [jobs]
+    lanes (default {!default_size}) and shuts it down: the one-shot
+    fan-out behind every packet model's [run_many] and the store's
+    sweeps. Order-preserving, so independent tasks give byte-identical
+    results for any [jobs]. An empty input gives [[||]]; [jobs = 1] or
+    a single input runs [Array.map] in the caller. Raises
+    [Invalid_argument (what ^ ": jobs < 1")] when [jobs < 1]. *)
+
 val parmap_array : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** Like {!map_array} but shards the input into contiguous chunks
     (default: enough chunks for ~4 tasks per lane) so per-element

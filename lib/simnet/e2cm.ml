@@ -33,14 +33,14 @@ type result = {
 }
 
 let run cfg =
-  if cfg.t_end <= 0. then invalid_arg "E2cm.run: t_end <= 0";
+  Model.check "E2cm.run" ~t_end:cfg.t_end ~sample_dt:cfg.sample_dt
+    ~interval:cfg.interval ();
   let p = cfg.params in
   let n = p.Fluid.Params.n_flows in
   let c = p.Fluid.Params.capacity in
   let e = Engine.create () in
-  let fifo = Fifo.create ~capacity_bits:p.Fluid.Params.buffer in
-  let busy = ref false in
-  let delivered = ref 0. in
+  let link = Model.link ~buffer:p.Fluid.Params.buffer ~rate:c in
+  let fifo = Model.fifo link in
   let messages = ref 0 in
   let rates = Array.make n cfg.initial_rate in
   (* congestion-point state: BCN sampling + an interval fair-share
@@ -59,19 +59,6 @@ let run cfg =
     Engine.schedule e ~delay:cfg.interval fair_cycle
   in
   Engine.schedule e ~delay:cfg.interval fair_cycle;
-  let rec serve e =
-    if not !busy then
-      match Fifo.dequeue fifo with
-      | None -> ()
-      | Some pkt ->
-          busy := true;
-          Engine.schedule e
-            ~delay:(float_of_int pkt.Packet.bits /. c)
-            (fun e ->
-              busy := false;
-              delivered := !delivered +. float_of_int pkt.Packet.bits;
-              serve e)
-  in
   (* the hybrid reaction law: BCN AIMD with the advertised fair share
      capping the additive increase *)
   let react flow sigma er =
@@ -87,30 +74,9 @@ let run cfg =
              (rates.(flow) *. (1. +. (p.Fluid.Params.gd *. sigma)))
              er)
   in
-  (* Feedback leaves the switch either as a direct scheduled reaction
-     (the historical, allocation-free path) or — when a fault channel is
-     interposed — as a synthesized BCN frame carrying [fb = sigma], so
-     loss/delay plans classify and perturb E2CM feedback exactly like
-     BCN feedback. [None] and a pass-through channel are event-for-event
-     identical. *)
-  let fb_seq = ref 0 in
-  let feedback e flow sigma er =
-    match cfg.control_channel with
-    | None ->
-        Engine.schedule e ~delay:cfg.control_delay (fun _e ->
-            react flow sigma er)
-    | Some chan ->
-        let pkt =
-          Packet.make_bcn ~seq:!fb_seq ~now:(Engine.now e) ~flow ~fb:sigma
-            ~cpid:1
-        in
-        incr fb_seq;
-        chan e pkt
-          ~deliver:(fun e _pkt ->
-            Engine.schedule e ~delay:cfg.control_delay (fun _e ->
-                react flow sigma er))
-          ~drop:(fun _e _pkt -> ())
-  in
+  (* a fault channel sees each message as a BCN frame carrying
+     [fb = sigma] *)
+  let feedback = Model.feedback cfg.control_channel ~delay:cfg.control_delay in
   let receive e (pkt : Packet.t) =
     (match pkt.Packet.kind with
     | Packet.Data { flow; _ } ->
@@ -126,66 +92,36 @@ let run cfg =
             in
             if sigma <> 0. then begin
               incr messages;
-              feedback e flow sigma !fair_share
+              let er = !fair_share in
+              feedback e ~flow ~fb:sigma (fun _e -> react flow sigma er)
             end
           end
         end
     | Packet.Bcn _ | Packet.Pause _ -> ());
-    serve e
+    Model.serve link e
   in
-  let frame = float_of_int Packet.data_frame_bits in
   let seq = ref 0 in
-  let rec pace i e =
-    if Engine.now e <= cfg.t_end then begin
+  Model.pace e ~t_end:cfg.t_end rates (fun e i ->
       let pkt =
         Packet.make_data ~seq:!seq ~now:(Engine.now e) ~flow:i ~rrt:None
       in
       incr seq;
-      receive e pkt;
-      Engine.schedule e ~delay:(frame /. rates.(i)) (pace i)
-    end
+      receive e pkt);
+  let tr =
+    Model.trace e ~t_end:cfg.t_end ~sample_dt:cfg.sample_dt ~cols:2
+      (fun _e row ->
+        row.(0) <- Fifo.occupancy_bits fifo;
+        row.(1) <- Array.fold_left ( +. ) 0. rates)
   in
-  for i = 0 to n - 1 do
-    let jitter = frame /. rates.(i) *. (float_of_int (i mod 97) /. 97.) in
-    Engine.schedule e ~delay:jitter (pace i)
-  done;
-  let n_samples = int_of_float (Float.ceil (cfg.t_end /. cfg.sample_dt)) + 1 in
-  let ts = Array.make n_samples 0. in
-  let qs = Array.make n_samples 0. in
-  let ags = Array.make n_samples 0. in
-  let idx = ref 0 in
-  let rec sampler e =
-    if !idx < n_samples then begin
-      ts.(!idx) <- Engine.now e;
-      qs.(!idx) <- Fifo.occupancy_bits fifo;
-      ags.(!idx) <- Array.fold_left ( +. ) 0. rates;
-      incr idx
-    end;
-    if Engine.now e +. cfg.sample_dt <= cfg.t_end then
-      Engine.schedule e ~delay:cfg.sample_dt sampler
-  in
-  Engine.schedule e ~delay:0. sampler;
-  Engine.run ~until:cfg.t_end e;
-  let m = !idx in
-  let cut a = Array.sub a 0 m in
+  let delivered = Model.delivered_bits link in
   {
-    queue = Series.make (cut ts) (cut qs);
-    agg_rate = Series.make (cut ts) (cut ags);
+    queue = Model.series tr 0;
+    agg_rate = Model.series tr 1;
     drops = Fifo.drops fifo;
-    delivered_bits = !delivered;
-    utilization = !delivered /. (c *. cfg.t_end);
+    delivered_bits = delivered;
+    utilization = delivered /. (c *. cfg.t_end);
     messages = !messages;
     final_rates = Array.copy rates;
   }
 
-(* The deterministic fan-out is generated once by the shared MODEL
-   functor; [run_many] stays as the historical alias. *)
-module Fanout = Model.Make (struct
-  type nonrec config = config
-  type nonrec result = result
-
-  let name = "E2cm"
-  let run = run
-end)
-
-let run_many = Fanout.run_many
+let run_many ?jobs cfgs = Parallel.Pool.fan_out ?jobs ~what:"E2cm.run_many" run cfgs

@@ -36,63 +36,30 @@ type result = {
 }
 
 let run cfg =
-  if cfg.t_end <= 0. then invalid_arg "Fera.run: t_end <= 0";
-  if cfg.interval <= 0. then invalid_arg "Fera.run: interval <= 0";
+  Model.check "Fera.run" ~t_end:cfg.t_end ~sample_dt:cfg.sample_dt
+    ~interval:cfg.interval ();
   let p = cfg.params in
   let n = p.Fluid.Params.n_flows in
   let c = p.Fluid.Params.capacity in
   let fair = Fluid.Params.equilibrium_rate p in
   let e = Engine.create () in
-  let fifo = Fifo.create ~capacity_bits:p.Fluid.Params.buffer in
-  let busy = ref false in
-  let delivered = ref 0. in
+  let link = Model.link ~buffer:p.Fluid.Params.buffer ~rate:c in
+  let fifo = Model.fifo link in
   let advertisements = ref 0 in
   let rates = Array.make n cfg.initial_rate in
   (* per-interval measurement state *)
   let flow_bits = Array.make n 0. in
-  let rec serve e =
-    if not !busy then
-      match Fifo.dequeue fifo with
-      | None -> ()
-      | Some pkt ->
-          busy := true;
-          Engine.schedule e
-            ~delay:(float_of_int pkt.Packet.bits /. c)
-            (fun e ->
-              busy := false;
-              delivered := !delivered +. float_of_int pkt.Packet.bits;
-              serve e)
-  in
   let receive e (pkt : Packet.t) =
     (match pkt.Packet.kind with
     | Packet.Data { flow; _ } ->
         if Fifo.enqueue fifo pkt then
           flow_bits.(flow) <- flow_bits.(flow) +. float_of_int pkt.Packet.bits
     | Packet.Bcn _ | Packet.Pause _ -> ());
-    serve e
+    Model.serve link e
   in
-  (* An advertisement reaches its source directly (historical path) or,
-     when a fault channel is interposed, as a synthesized BCN frame
-     carrying [fb = er] — so loss/delay plans act on ERICA feedback the
-     same way they act on BCN feedback. [None] and a pass-through
-     channel are event-for-event identical. *)
-  let fb_seq = ref 0 in
-  let feedback e i er =
-    match cfg.control_channel with
-    | None ->
-        Engine.schedule e ~delay:cfg.control_delay (fun _e -> rates.(i) <- er)
-    | Some chan ->
-        let pkt =
-          Packet.make_bcn ~seq:!fb_seq ~now:(Engine.now e) ~flow:i ~fb:er
-            ~cpid:1
-        in
-        incr fb_seq;
-        chan e pkt
-          ~deliver:(fun e _pkt ->
-            Engine.schedule e ~delay:cfg.control_delay (fun _e ->
-                rates.(i) <- er))
-          ~drop:(fun _e _pkt -> ())
-  in
+  (* a fault channel sees each advertisement as a BCN frame carrying
+     [fb = er] *)
+  let feedback = Model.feedback cfg.control_channel ~delay:cfg.control_delay in
   (* the ERICA measurement/advertisement cycle *)
   let rec advertise e =
     let measured = Array.fold_left ( +. ) 0. flow_bits /. cfg.interval in
@@ -110,7 +77,7 @@ let run cfg =
             let er = Float.max fair_share (flow_rate /. z) in
             let er = Float.min er c in
             incr advertisements;
-            feedback e i er
+            feedback e ~flow:i ~fb:er (fun _e -> rates.(i) <- er)
           end)
         flow_bits
     end;
@@ -119,69 +86,39 @@ let run cfg =
   in
   Engine.schedule e ~delay:cfg.interval advertise;
   (* paced sources reading their advertised rate *)
-  let frame = float_of_int Packet.data_frame_bits in
   let seq = ref 0 in
-  let rec pace i e =
-    if Engine.now e <= cfg.t_end then begin
+  Model.pace e ~t_end:cfg.t_end rates (fun e i ->
       let pkt =
         Packet.make_data ~seq:!seq ~now:(Engine.now e) ~flow:i ~rrt:None
       in
       incr seq;
-      receive e pkt;
-      Engine.schedule e ~delay:(frame /. rates.(i)) (pace i)
-    end
-  in
-  for i = 0 to n - 1 do
-    let jitter = frame /. rates.(i) *. (float_of_int (i mod 97) /. 97.) in
-    Engine.schedule e ~delay:jitter (pace i)
-  done;
+      receive e pkt);
   (* tracing + convergence detection *)
-  let n_samples = int_of_float (Float.ceil (cfg.t_end /. cfg.sample_dt)) + 1 in
-  let ts = Array.make n_samples 0. in
-  let qs = Array.make n_samples 0. in
-  let ags = Array.make n_samples 0. in
-  let idx = ref 0 in
   let convergence = ref None in
-  let rec sampler e =
-    if !idx < n_samples then begin
-      ts.(!idx) <- Engine.now e;
-      qs.(!idx) <- Fifo.occupancy_bits fifo;
-      ags.(!idx) <- Array.fold_left ( +. ) 0. rates;
-      (if !convergence = None then
-         let all_fair =
-           Array.for_all
-             (fun r -> Float.abs (r -. (cfg.target_util *. fair)) < 0.1 *. fair)
-             rates
-         in
-         if all_fair then convergence := Some (Engine.now e));
-      incr idx
-    end;
-    if Engine.now e +. cfg.sample_dt <= cfg.t_end then
-      Engine.schedule e ~delay:cfg.sample_dt sampler
+  let tr =
+    Model.trace e ~t_end:cfg.t_end ~sample_dt:cfg.sample_dt ~cols:2
+      (fun e row ->
+        row.(0) <- Fifo.occupancy_bits fifo;
+        row.(1) <- Array.fold_left ( +. ) 0. rates;
+        if !convergence = None then
+          let all_fair =
+            Array.for_all
+              (fun r ->
+                Float.abs (r -. (cfg.target_util *. fair)) < 0.1 *. fair)
+              rates
+          in
+          if all_fair then convergence := Some (Engine.now e))
   in
-  Engine.schedule e ~delay:0. sampler;
-  Engine.run ~until:cfg.t_end e;
-  let m = !idx in
-  let cut a = Array.sub a 0 m in
+  let delivered = Model.delivered_bits link in
   {
-    queue = Series.make (cut ts) (cut qs);
-    agg_rate = Series.make (cut ts) (cut ags);
+    queue = Model.series tr 0;
+    agg_rate = Model.series tr 1;
     drops = Fifo.drops fifo;
-    delivered_bits = !delivered;
-    utilization = !delivered /. (c *. cfg.t_end);
+    delivered_bits = delivered;
+    utilization = delivered /. (c *. cfg.t_end);
     advertisements = !advertisements;
     final_rates = Array.copy rates;
     convergence_time = !convergence;
   }
 
-(* The deterministic fan-out is generated once by the shared MODEL
-   functor; [run_many] stays as the historical alias. *)
-module Fanout = Model.Make (struct
-  type nonrec config = config
-  type nonrec result = result
-
-  let name = "Fera"
-  let run = run
-end)
-
-let run_many = Fanout.run_many
+let run_many ?jobs cfgs = Parallel.Pool.fan_out ?jobs ~what:"Fera.run_many" run cfgs

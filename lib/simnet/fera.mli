@@ -46,8 +46,5 @@ type result = {
 val run : config -> result
 
 val run_many : ?jobs:int -> config array -> result array
-(** Run every config over a [Parallel.Pool] of [jobs] lanes (default
-    {!Parallel.Pool.default_size}). Results are in input order and
-    byte-identical for any [jobs] value — each run owns its engine and
-    state. [jobs = 1] runs sequentially in the caller. Raises
-    [Invalid_argument] when [jobs < 1]. *)
+(** {!run} over {!Parallel.Pool.fan_out}: results in input order,
+    byte-identical for any [jobs]. *)

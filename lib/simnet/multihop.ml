@@ -45,6 +45,7 @@ type result = {
 }
 
 let run cfg =
+  Model.check "Multihop.run" ~t_end:cfg.t_end ~sample_dt:cfg.sample_dt ();
   if cfg.n_long < 1 || cfg.n_short < 0 then
     invalid_arg "Multihop.run: need n_long >= 1, n_short >= 0";
   if cfg.c_b > cfg.c_a then
@@ -105,26 +106,12 @@ let run cfg =
     sources.(i) <- Some src;
     Source.start src e
   done;
-  (* tracing *)
-  let n_samples = int_of_float (Float.ceil (cfg.t_end /. cfg.sample_dt)) + 1 in
-  let ts = Array.make n_samples 0. in
-  let qa = Array.make n_samples 0. in
-  let qb = Array.make n_samples 0. in
-  let idx = ref 0 in
-  let rec sampler e =
-    if !idx < n_samples then begin
-      ts.(!idx) <- Engine.now e;
-      qa.(!idx) <- Switch.queue_bits sw_a;
-      qb.(!idx) <- Switch.queue_bits sw_b;
-      incr idx
-    end;
-    if Engine.now e +. cfg.sample_dt <= cfg.t_end then
-      Engine.schedule e ~delay:cfg.sample_dt sampler
+  let tr =
+    Model.trace e ~t_end:cfg.t_end ~sample_dt:cfg.sample_dt ~cols:2
+      (fun _e row ->
+        row.(0) <- Switch.queue_bits sw_a;
+        row.(1) <- Switch.queue_bits sw_b)
   in
-  Engine.schedule e ~delay:0. sampler;
-  Engine.run ~until:cfg.t_end e;
-  let m = !idx in
-  let cut a = Array.sub a 0 m in
   (* goodput over the run, per flow — time-integrated, unlike the
      bang-bang instantaneous rates of literal AIMD *)
   let goodput i = per_flow_delivered.(i) /. cfg.t_end in
@@ -136,8 +123,8 @@ let run cfg =
     if ms = 0. then 1. else mean long_rates /. ms
   in
   {
-    queue_a = Series.make (cut ts) (cut qa);
-    queue_b = Series.make (cut ts) (cut qb);
+    queue_a = Model.series tr 0;
+    queue_b = Model.series tr 1;
     drops_a = Fifo.drops (Switch.fifo sw_a);
     drops_b = Fifo.drops (Switch.fifo sw_b);
     utilization_b = !delivered /. (cfg.c_b *. cfg.t_end);
@@ -147,14 +134,5 @@ let run cfg =
     bcn_messages = !messages;
   }
 
-(* The deterministic fan-out is generated once by the shared MODEL
-   functor; [run_many] stays as the historical alias. *)
-module Fanout = Model.Make (struct
-  type nonrec config = config
-  type nonrec result = result
-
-  let name = "Multihop"
-  let run = run
-end)
-
-let run_many = Fanout.run_many
+let run_many ?jobs cfgs =
+  Parallel.Pool.fan_out ?jobs ~what:"Multihop.run_many" run cfgs

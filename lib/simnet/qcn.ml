@@ -71,14 +71,15 @@ let rp_byte_counter_expiry cfg rp =
   rp.rate <- Float.min rp.max_rate ((rp.rate +. rp.target) /. 2.)
 
 let run cfg =
-  if cfg.t_end <= 0. then invalid_arg "Qcn.run: t_end <= 0";
+  Model.check "Qcn.run" ~t_end:cfg.t_end ~sample_dt:cfg.sample_dt ();
   let p = cfg.params in
   let n = p.Fluid.Params.n_flows in
   let e = Engine.create () in
-  let delivered = ref 0. in
   let cn_messages = ref 0 in
-  let fifo = Fifo.create ~capacity_bits:p.Fluid.Params.buffer in
-  let busy = ref false in
+  let link =
+    Model.link ~buffer:p.Fluid.Params.buffer ~rate:p.Fluid.Params.capacity
+  in
+  let fifo = Model.fifo link in
   let q_old = ref 0. in
   let arrivals = ref 0 in
   let sample_every =
@@ -96,19 +97,6 @@ let run cfg =
           min_rate = 1e3;
           max_rate = p.Fluid.Params.capacity;
         })
-  in
-  let rec serve e =
-    if not !busy then
-      match Fifo.dequeue fifo with
-      | None -> ()
-      | Some pkt ->
-          busy := true;
-          Engine.schedule e
-            ~delay:(float_of_int pkt.Packet.bits /. p.Fluid.Params.capacity)
-            (fun e ->
-              busy := false;
-              delivered := !delivered +. float_of_int pkt.Packet.bits;
-              serve e)
   in
   let congestion_point e (pkt : Packet.t) =
     incr arrivals;
@@ -135,7 +123,7 @@ let run cfg =
   let receive e pkt =
     let accepted = Fifo.enqueue fifo pkt in
     if accepted then congestion_point e pkt;
-    serve e
+    Model.serve link e
   in
   (* pacing loops with byte counters *)
   let rec pace rp e =
@@ -162,32 +150,19 @@ let run cfg =
       in
       Engine.schedule e ~delay:jitter (pace rp))
     rps;
-  (* tracing *)
-  let n_samples = int_of_float (Float.ceil (cfg.t_end /. cfg.sample_dt)) + 1 in
-  let ts = Array.make n_samples 0. in
-  let qs = Array.make n_samples 0. in
-  let ags = Array.make n_samples 0. in
-  let idx = ref 0 in
-  let rec sampler e =
-    if !idx < n_samples then begin
-      ts.(!idx) <- Engine.now e;
-      qs.(!idx) <- Fifo.occupancy_bits fifo;
-      ags.(!idx) <- Array.fold_left (fun acc rp -> acc +. rp.rate) 0. rps;
-      incr idx
-    end;
-    if Engine.now e +. cfg.sample_dt <= cfg.t_end then
-      Engine.schedule e ~delay:cfg.sample_dt sampler
+  let tr =
+    Model.trace e ~t_end:cfg.t_end ~sample_dt:cfg.sample_dt ~cols:2
+      (fun _e row ->
+        row.(0) <- Fifo.occupancy_bits fifo;
+        row.(1) <- Array.fold_left (fun acc rp -> acc +. rp.rate) 0. rps)
   in
-  Engine.schedule e ~delay:0. sampler;
-  Engine.run ~until:cfg.t_end e;
-  let m = !idx in
-  let cut a = Array.sub a 0 m in
+  let delivered = Model.delivered_bits link in
   {
-    queue = Series.make (cut ts) (cut qs);
-    agg_rate = Series.make (cut ts) (cut ags);
+    queue = Model.series tr 0;
+    agg_rate = Model.series tr 1;
     drops = Fifo.drops fifo;
-    delivered_bits = !delivered;
-    utilization = !delivered /. (p.Fluid.Params.capacity *. cfg.t_end);
+    delivered_bits = delivered;
+    utilization = delivered /. (p.Fluid.Params.capacity *. cfg.t_end);
     cn_messages = !cn_messages;
     final_rates = Array.map (fun rp -> rp.rate) rps;
   }

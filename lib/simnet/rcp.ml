@@ -42,7 +42,8 @@ type result = {
 }
 
 let run cfg =
-  if cfg.t_end <= 0. then invalid_arg "Rcp.run: t_end <= 0";
+  Model.check "Rcp.run" ~t_end:cfg.t_end ~sample_dt:cfg.sample_dt
+    ~interval:cfg.interval ();
   let p = cfg.params in
   let n = p.Fluid.Params.n_flows in
   let c = p.Fluid.Params.capacity in
@@ -115,9 +116,7 @@ let run cfg =
     Engine.schedule e ~delay:cfg.interval control_cycle
   in
   Engine.schedule e ~delay:cfg.interval control_cycle;
-  let frame = float_of_int Packet.data_frame_bits in
-  let rec pace i e =
-    if Engine.now e <= cfg.t_end then begin
+  Model.pace e ~t_end:cfg.t_end rates (fun e i ->
       let pkt =
         Packet.Pool.alloc_data pool ~seq:!seq ~now:(Engine.now e) ~flow:i
           ~rrt:None
@@ -126,39 +125,18 @@ let run cfg =
       (* y is measured at the ingress, drops included — the input
          traffic rate of the RCP law, not the accepted rate *)
       arrived_bits := !arrived_bits +. float_of_int pkt.Packet.bits;
-      Switch.receive sw e pkt;
-      Engine.schedule e ~delay:(frame /. rates.(i)) (pace i)
-    end
+      Switch.receive sw e pkt);
+  let tr =
+    Model.trace e ~t_end:cfg.t_end ~sample_dt:cfg.sample_dt ~cols:3
+      (fun _e row ->
+        row.(0) <- Switch.queue_bits sw;
+        row.(1) <- Array.fold_left ( +. ) 0. rates;
+        row.(2) <- !advertised)
   in
-  for i = 0 to n - 1 do
-    let jitter = frame /. rates.(i) *. (float_of_int (i mod 97) /. 97.) in
-    Engine.schedule e ~delay:jitter (pace i)
-  done;
-  let n_samples = int_of_float (Float.ceil (cfg.t_end /. cfg.sample_dt)) + 1 in
-  let ts = Array.make n_samples 0. in
-  let qs = Array.make n_samples 0. in
-  let ags = Array.make n_samples 0. in
-  let avs = Array.make n_samples 0. in
-  let idx = ref 0 in
-  let rec sampler e =
-    if !idx < n_samples then begin
-      ts.(!idx) <- Engine.now e;
-      qs.(!idx) <- Switch.queue_bits sw;
-      ags.(!idx) <- Array.fold_left ( +. ) 0. rates;
-      avs.(!idx) <- !advertised;
-      incr idx
-    end;
-    if Engine.now e +. cfg.sample_dt <= cfg.t_end then
-      Engine.schedule e ~delay:cfg.sample_dt sampler
-  in
-  Engine.schedule e ~delay:0. sampler;
-  Engine.run ~until:cfg.t_end e;
-  let m = !idx in
-  let cut a = Array.sub a 0 m in
   {
-    queue = Series.make (cut ts) (cut qs);
-    agg_rate = Series.make (cut ts) (cut ags);
-    advertised = Series.make (cut ts) (cut avs);
+    queue = Model.series tr 0;
+    agg_rate = Model.series tr 1;
+    advertised = Model.series tr 2;
     drops = Fifo.drops (Switch.fifo sw);
     delivered_bits = !delivered;
     utilization = !delivered /. (c *. cfg.t_end);
@@ -167,12 +145,4 @@ let run cfg =
     events_processed = Engine.events_processed e;
   }
 
-module Fanout = Model.Make (struct
-  type nonrec config = config
-  type nonrec result = result
-
-  let name = "Rcp"
-  let run = run
-end)
-
-let run_many = Fanout.run_many
+let run_many ?jobs cfgs = Parallel.Pool.fan_out ?jobs ~what:"Rcp.run_many" run cfgs

@@ -1,11 +1,6 @@
 open Numerics
 
-type control_channel =
-  Engine.t ->
-  Packet.t ->
-  deliver:(Engine.t -> Packet.t -> unit) ->
-  drop:(Engine.t -> Packet.t -> unit) ->
-  unit
+type control_channel = Model.control_channel
 
 type config = {
   params : Fluid.Params.t;
@@ -67,8 +62,7 @@ type result = {
 }
 
 let run ?(probe = Telemetry.Probe.disabled) cfg =
-  if cfg.t_end <= 0. then invalid_arg "Runner.run: t_end <= 0";
-  if cfg.sample_dt <= 0. then invalid_arg "Runner.run: sample_dt <= 0";
+  Model.check "Runner.run" ~t_end:cfg.t_end ~sample_dt:cfg.sample_dt ();
   let p = cfg.params in
   let n = p.Fluid.Params.n_flows in
   let e = Engine.create ~probe () in
@@ -158,52 +152,37 @@ let run ?(probe = Telemetry.Probe.disabled) cfg =
     sources.(i) <- Some src;
     Source.start src e
   done;
-  (* periodic trace sampler *)
-  let n_samples = int_of_float (Float.ceil (cfg.t_end /. cfg.sample_dt)) + 1 in
-  let ts = Array.make n_samples 0. in
-  let qs = Array.make n_samples 0. in
-  let aggs = Array.make n_samples 0. in
-  let per_flow = Array.make_matrix n n_samples 0. in
-  let idx = ref 0 in
-  let record e =
-    if !idx < n_samples then begin
-      ts.(!idx) <- Engine.now e;
-      qs.(!idx) <- Switch.queue_bits sw;
-      Histogram.add_weighted queue_histogram (Switch.queue_bits sw) cfg.sample_dt;
-      let agg = [| 0. |] in
-      Array.iteri
-        (fun i s ->
-          match s with
-          | Some src ->
-              let r = Source.rate src in
-              per_flow.(i).(!idx) <- r;
-              agg.(0) <- agg.(0) +. r
-          | None -> ())
-        sources;
-      aggs.(!idx) <- agg.(0);
-      incr idx
-    end
+  (* trace columns: queue, aggregate rate, then one per flow *)
+  let record _e row =
+    let q = Switch.queue_bits sw in
+    row.(0) <- q;
+    Histogram.add_weighted queue_histogram q cfg.sample_dt;
+    row.(1) <- 0.;
+    Array.iteri
+      (fun i s ->
+        let r = match s with Some src -> Source.rate src | None -> 0. in
+        row.(2 + i) <- r;
+        row.(1) <- row.(1) +. r)
+      sources
   in
-  let rec sampler e =
-    record e;
-    (* overflow verdict: once the FIFO has dropped, the run's answer to
-       "does this operating point overflow the buffer?" is decided —
-       with [stop_on_verdict] the remaining horizon is skipped. The
-       check rides the sampler, so the verdict resolution is one
-       [sample_dt], and the trace up to the stop is byte-identical to
-       the same prefix of a full-horizon run. *)
-    if cfg.stop_on_verdict && Fifo.drops (Switch.fifo sw) > 0 then
-      Engine.stop e
-    else if Engine.now e +. cfg.sample_dt <= cfg.t_end then
-      Engine.schedule e ~delay:cfg.sample_dt sampler
+  (* overflow verdict: once the FIFO has dropped, the run's answer to
+     "does this operating point overflow the buffer?" is decided — with
+     [stop_on_verdict] the remaining horizon is skipped. The check rides
+     the sampler, so the verdict resolution is one [sample_dt], and the
+     trace up to the stop is byte-identical to the same prefix of a
+     full-horizon run. *)
+  let stop =
+    if cfg.stop_on_verdict then
+      Some (fun () -> Fifo.drops (Switch.fifo sw) > 0)
+    else None
   in
-  Engine.schedule e ~delay:0. sampler;
-  Engine.run ~until:cfg.t_end e;
+  let tr =
+    Model.trace ?stop e ~t_end:cfg.t_end ~sample_dt:cfg.sample_dt
+      ~cols:(n + 2) record
+  in
   (* elapsed simulated time: equals [t_end] unless the verdict stop cut
      the run short (the engine clock then rests at the stop event) *)
   let t_run = if cfg.stop_on_verdict then Engine.now e else cfg.t_end in
-  let m = !idx in
-  let cut a = Array.sub a 0 m in
   let st = Switch.stats sw in
   let q = Switch.fifo sw in
   if Telemetry.Probe.enabled probe then begin
@@ -221,10 +200,9 @@ let run ?(probe = Telemetry.Probe.disabled) cfg =
     Telemetry.Metrics.add_histogram mx "runner.queue_bits" queue_histogram
   end;
   {
-    queue = Series.make (cut ts) (cut qs);
-    agg_rate = Series.make (cut ts) (cut aggs);
-    flow_rates =
-      Array.init n (fun i -> Series.make (cut ts) (cut per_flow.(i)));
+    queue = Model.series tr 0;
+    agg_rate = Model.series tr 1;
+    flow_rates = Array.init n (fun i -> Model.series tr (2 + i));
     latency;
     queue_histogram;
     drops = Fifo.drops q;
@@ -242,19 +220,9 @@ let run ?(probe = Telemetry.Probe.disabled) cfg =
         sources;
   }
 
-(* Each run builds its own engine, pool and RNG state and shares
-   nothing with its siblings, so the deterministic fan-out is the one
-   the shared MODEL functor generates; [run_many] stays as the
-   historical alias. *)
-module Fanout = Model.Make (struct
-  type nonrec config = config
-  type nonrec result = result
-
-  let name = "Runner"
-  let run c = run c
-end)
-
-let run_many = Fanout.run_many
+(* each run owns its engine, pool and RNG state *)
+let run_many ?jobs cfgs =
+  Parallel.Pool.fan_out ?jobs ~what:"Runner.run_many" (fun c -> run c) cfgs
 
 let replicate ?jobs ~seeds cfg =
   run_many ?jobs (Array.map (with_seed cfg) seeds)
@@ -273,14 +241,7 @@ let replicate_instrumented ?jobs ~seeds cfg =
     (r, Telemetry.Probe.metrics probe)
   in
   let pairs =
-    let size =
-      match jobs with Some j -> j | None -> Parallel.Pool.default_size ()
-    in
-    if size < 1 then invalid_arg "Runner.replicate_instrumented: jobs < 1";
-    if size = 1 || Array.length cfgs <= 1 then Array.map task cfgs
-    else
-      Parallel.Pool.with_pool ~size (fun pool ->
-          Parallel.Pool.map_array pool task cfgs)
+    Parallel.Pool.fan_out ?jobs ~what:"Runner.replicate_instrumented" task cfgs
   in
   let merged = Telemetry.Metrics.create () in
   Array.iter (fun (_, m) -> Telemetry.Metrics.merge_into ~into:merged m) pairs;

@@ -5,20 +5,9 @@
     This is the packet-level ground truth against which the fluid model
     is validated (experiment V1 of DESIGN.md). *)
 
-type control_channel =
-  Engine.t ->
-  Packet.t ->
-  deliver:(Engine.t -> Packet.t -> unit) ->
-  drop:(Engine.t -> Packet.t -> unit) ->
-  unit
-(** A fault channel interposed between the switch's control-frame output
-    and delivery. Called synchronously at emission time with the frame
-    and two continuations: [deliver] sends the frame down the normal
-    delivery leg (propagation delay, then dispatch — call it at most
-    once, now or from a scheduled event), [drop] disposes of the frame
-    without delivering (recycling it into the run's packet pool).
-    Exactly one of the two must eventually be called per frame, or the
-    frame leaks from the pool's accounting. *)
+type control_channel = Model.control_channel
+(** A fault channel on the control-frame path; see
+    {!Model.control_channel}. *)
 
 type config = {
   params : Fluid.Params.t;
@@ -102,13 +91,8 @@ val with_seed : config -> int -> config
     from the same seed produce identical runs. *)
 
 val run_many : ?jobs:int -> config array -> result array
-(** Run every config, fanning out over a [Parallel.Pool] of [jobs]
-    lanes (default: [Parallel.Pool.default_size ()], i.e. [DCECC_JOBS]
-    or the machine's domain count). Results are returned in input order
-    and are byte-identical for any [jobs] value — each run owns its
-    engine, packet pool and RNG state, and the pool's combinators are
-    deterministic. [jobs = 1] runs sequentially in the caller.
-    Raises [Invalid_argument] when [jobs < 1]. *)
+(** {!run} over {!Parallel.Pool.fan_out}: results in input order,
+    byte-identical for any [jobs]. *)
 
 val replicate : ?jobs:int -> seeds:int array -> config -> result array
 (** [replicate ~seeds cfg] = [run_many (Array.map (with_seed cfg) seeds)]:

@@ -81,110 +81,74 @@ let default_knobs =
     pause_resume = 0.9;
   }
 
-let bcn ?(t_end = 0.02) ?(sample_dt = 1e-5) ?initial_rate
-    ?(control_delay = 1e-6) ?(mode = default_knobs.mode)
-    ?(sampling = default_knobs.sampling)
+(* Defaults every constructor and the decoder share. *)
+let default_t_end = 0.02
+let default_sample_dt = 1e-5
+let default_control_delay = 1e-6
+
+let make ?(t_end = default_t_end) ?(sample_dt = default_sample_dt)
+    ?initial_rate ?(control_delay = default_control_delay) params model =
+  {
+    params;
+    t_end;
+    sample_dt;
+    initial_rate;
+    control_delay;
+    model;
+    workload = [];
+    fault = None;
+    seed = 0;
+    replicas = 1;
+  }
+
+let bcn ?t_end ?sample_dt ?initial_rate ?control_delay
+    ?(mode = default_knobs.mode) ?(sampling = default_knobs.sampling)
     ?(positive_to_untagged = default_knobs.positive_to_untagged)
     ?(broadcast_feedback = default_knobs.broadcast_feedback)
     ?(enable_bcn = default_knobs.enable_bcn)
     ?(enable_pause = default_knobs.enable_pause)
     ?(pause_resume = default_knobs.pause_resume) params =
-  {
-    params;
-    t_end;
-    sample_dt;
-    initial_rate;
-    control_delay;
-    model =
-      Bcn
-        {
-          mode;
-          sampling;
-          positive_to_untagged;
-          broadcast_feedback;
-          enable_bcn;
-          enable_pause;
-          pause_resume;
-        };
-    workload = [];
-    fault = None;
-    seed = 0;
-    replicas = 1;
-  }
+  make ?t_end ?sample_dt ?initial_rate ?control_delay params
+    (Bcn
+       {
+         mode;
+         sampling;
+         positive_to_untagged;
+         broadcast_feedback;
+         enable_bcn;
+         enable_pause;
+         pause_resume;
+       })
 
-let e2cm ?(t_end = 0.02) ?(sample_dt = 1e-5) ?initial_rate
-    ?(control_delay = 1e-6) ?interval (params : Fluid.Params.t) =
-  let interval =
-    match interval with
-    | Some i -> i
-    | None -> (E2cm.default_config params).E2cm.interval
-  in
-  {
-    params;
-    t_end;
-    sample_dt;
-    initial_rate;
-    control_delay;
-    model = E2cm { interval };
-    workload = [];
-    fault = None;
-    seed = 0;
-    replicas = 1;
-  }
+let e2cm ?t_end ?sample_dt ?initial_rate ?control_delay ?interval params =
+  let d = (E2cm.default_config params).E2cm.interval in
+  let interval = Option.value interval ~default:d in
+  make ?t_end ?sample_dt ?initial_rate ?control_delay params
+    (E2cm { interval })
 
-let fera ?(t_end = 0.02) ?(sample_dt = 1e-5) ?initial_rate
-    ?(control_delay = 1e-6) ?interval ?target_util (params : Fluid.Params.t) =
+let fera ?t_end ?sample_dt ?initial_rate ?control_delay ?interval
+    ?target_util params =
   let d = Fera.default_config params in
   let interval = Option.value interval ~default:d.Fera.interval in
   let target_util = Option.value target_util ~default:d.Fera.target_util in
-  {
-    params;
-    t_end;
-    sample_dt;
-    initial_rate;
-    control_delay;
-    model = Fera { interval; target_util };
-    workload = [];
-    fault = None;
-    seed = 0;
-    replicas = 1;
-  }
+  make ?t_end ?sample_dt ?initial_rate ?control_delay params
+    (Fera { interval; target_util })
 
-let multihop ?(t_end = 0.02) ?(sample_dt = 1e-5) ?initial_rate
-    ?(control_delay = 1e-6) ?c_a ?c_b ?(n_long = 10) ?(n_short = 10)
-    ?(strict_tagging = true) (params : Fluid.Params.t) =
+let multihop ?t_end ?sample_dt ?initial_rate ?control_delay ?c_a ?c_b
+    ?(n_long = 10) ?(n_short = 10) ?(strict_tagging = true)
+    (params : Fluid.Params.t) =
   let c = params.Fluid.Params.capacity in
   let c_a = Option.value c_a ~default:c in
   let c_b = Option.value c_b ~default:(c /. 2.) in
-  {
-    params;
-    t_end;
-    sample_dt;
-    initial_rate;
-    control_delay;
-    model = Multihop { c_a; c_b; n_long; n_short; strict_tagging };
-    workload = [];
-    fault = None;
-    seed = 0;
-    replicas = 1;
-  }
+  make ?t_end ?sample_dt ?initial_rate ?control_delay params
+    (Multihop { c_a; c_b; n_long; n_short; strict_tagging })
 
-let rcp ?(t_end = 0.02) ?(sample_dt = 1e-5) ?initial_rate
-    ?(control_delay = 1e-6) ?(alpha = Fluid.Rcp.default_alpha)
-    ?(beta = Fluid.Rcp.default_beta) ?(interval = Fluid.Rcp.default_tau)
-    ?(variant = Fluid.Rcp.By_capacity) (params : Fluid.Params.t) =
-  {
-    params;
-    t_end;
-    sample_dt;
-    initial_rate;
-    control_delay;
-    model = Rcp { alpha; beta; interval; variant };
-    workload = [];
-    fault = None;
-    seed = 0;
-    replicas = 1;
-  }
+let rcp ?t_end ?sample_dt ?initial_rate ?control_delay
+    ?(alpha = Fluid.Rcp.default_alpha) ?(beta = Fluid.Rcp.default_beta)
+    ?(interval = Fluid.Rcp.default_tau) ?(variant = Fluid.Rcp.By_capacity)
+    params =
+  make ?t_end ?sample_dt ?initial_rate ?control_delay params
+    (Rcp { alpha; beta; interval; variant })
 
 let with_fault s plan =
   { s with fault = (if Fault_plan.is_none plan then None else Some plan) }
@@ -248,6 +212,9 @@ let validate s =
   | Multihop { c_a; c_b; n_long; n_short; _ } ->
       check_pos "multihop c_a" c_a;
       check_pos "multihop c_b" c_b;
+      if c_b > c_a then
+        fail "Scenario: multihop c_b = %g > c_a = %g (hop B must be the tighter one)"
+          c_b c_a;
       if n_long < 1 || n_short < 0 then
         fail "Scenario: multihop needs n_long >= 1 and n_short >= 0"
   | Rcp { alpha; beta; interval; _ } ->
@@ -768,14 +735,15 @@ let dec_scenario j =
   {
     params;
     model;
-    t_end = get_float_opt what fields "t_end" ~default:0.02;
-    sample_dt = get_float_opt what fields "sample_dt" ~default:1e-5;
+    t_end = get_float_opt what fields "t_end" ~default:default_t_end;
+    sample_dt = get_float_opt what fields "sample_dt" ~default:default_sample_dt;
     initial_rate =
       (match field fields "initial_rate" with
       | None | Some Null -> None
       | Some (Num f) -> Some f
       | Some _ -> bad "scenario.initial_rate: expected a number or null");
-    control_delay = get_float_opt what fields "control_delay" ~default:1e-6;
+    control_delay =
+      get_float_opt what fields "control_delay" ~default:default_control_delay;
     seed = get_int_opt what fields "seed" ~default:0;
     replicas = get_int_opt what fields "replicas" ~default:1;
     workload =
@@ -806,186 +774,12 @@ let decode_exn src =
   match decode src with Ok s -> s | Error msg -> invalid_arg ("Scenario.decode: " ^ msg)
 
 (* ------------------------------------------------------------------ *)
-(* Compilation to execution-layer configs                              *)
+(* Compilation: one arm per protocol                                   *)
 (* ------------------------------------------------------------------ *)
-
-let runner_sampling s = function
-  | Deterministic -> Switch.Deterministic
-  | Bernoulli -> Switch.Bernoulli (Random.State.make [| s.seed |])
-  | Timer p -> Switch.Timer p
-
-let to_runner_config s =
-  let s = validate s in
-  match s.model with
-  | Bcn k ->
-      let base =
-        Runner.default_config ~t_end:s.t_end ~sample_dt:s.sample_dt s.params
-      in
-      {
-        base with
-        Runner.initial_rate =
-          Option.value s.initial_rate ~default:base.Runner.initial_rate;
-        control_delay = s.control_delay;
-        mode = k.mode;
-        sampling = runner_sampling s k.sampling;
-        positive_to_untagged = k.positive_to_untagged;
-        broadcast_feedback = k.broadcast_feedback;
-        enable_bcn = k.enable_bcn;
-        enable_pause = k.enable_pause;
-        pause_resume = k.pause_resume;
-      }
-  | _ -> invalid_arg "Scenario.to_runner_config: not a BCN scenario"
-
-let runner_configs s =
-  let base = to_runner_config s in
-  match s.model with
-  | Bcn { sampling = Bernoulli; _ } ->
-      Array.init s.replicas (fun i -> Runner.with_seed base (s.seed + i))
-  | _ -> [| base |]
-
-let to_e2cm_config s =
-  let s = validate s in
-  match s.model with
-  | E2cm { interval } ->
-      let base =
-        E2cm.default_config ~t_end:s.t_end ~sample_dt:s.sample_dt s.params
-      in
-      {
-        base with
-        E2cm.initial_rate =
-          Option.value s.initial_rate ~default:base.E2cm.initial_rate;
-        control_delay = s.control_delay;
-        interval;
-      }
-  | _ -> invalid_arg "Scenario.to_e2cm_config: not an E2CM scenario"
-
-let to_fera_config s =
-  let s = validate s in
-  match s.model with
-  | Fera { interval; target_util } ->
-      let base =
-        Fera.default_config ~t_end:s.t_end ~sample_dt:s.sample_dt s.params
-      in
-      {
-        base with
-        Fera.initial_rate =
-          Option.value s.initial_rate ~default:base.Fera.initial_rate;
-        control_delay = s.control_delay;
-        interval;
-        target_util;
-      }
-  | _ -> invalid_arg "Scenario.to_fera_config: not a FERA scenario"
-
-let to_multihop_config s =
-  let s = validate s in
-  match s.model with
-  | Multihop { c_a; c_b; n_long; n_short; strict_tagging } ->
-      let base =
-        Multihop.default_config ~t_end:s.t_end ~n_long ~n_short s.params
-      in
-      {
-        base with
-        Multihop.c_a;
-        c_b;
-        sample_dt = s.sample_dt;
-        initial_rate =
-          Option.value s.initial_rate ~default:base.Multihop.initial_rate;
-        control_delay = s.control_delay;
-        strict_tagging;
-      }
-  | _ -> invalid_arg "Scenario.to_multihop_config: not a multihop scenario"
-
-let of_runner_config ?(seed = 0) ?(replicas = 1) (cfg : Runner.config) =
-  if cfg.Runner.control_channel <> None || cfg.Runner.on_setup <> None then
-    invalid_arg
-      "Scenario.of_runner_config: config carries executable hooks \
-       (control_channel/on_setup); describe the fault as a Fault_plan \
-       instead";
-  let sampling =
-    match cfg.Runner.sampling with
-    | Switch.Deterministic -> Deterministic
-    | Switch.Timer p -> Timer p
-    | Switch.Bernoulli _ ->
-        invalid_arg
-          "Scenario.of_runner_config: live Bernoulli RNG state is not \
-           encodable; use ?seed with Deterministic/Timer sampling"
-  in
-  validate
-    {
-      params = cfg.Runner.params;
-      t_end = cfg.Runner.t_end;
-      sample_dt = cfg.Runner.sample_dt;
-      initial_rate = Some cfg.Runner.initial_rate;
-      control_delay = cfg.Runner.control_delay;
-      model =
-        Bcn
-          {
-            mode = cfg.Runner.mode;
-            sampling;
-            positive_to_untagged = cfg.Runner.positive_to_untagged;
-            broadcast_feedback = cfg.Runner.broadcast_feedback;
-            enable_bcn = cfg.Runner.enable_bcn;
-            enable_pause = cfg.Runner.enable_pause;
-            pause_resume = cfg.Runner.pause_resume;
-          };
-      workload = [];
-      fault = None;
-      seed;
-      replicas;
-    }
-
-let start_workloads s e sw =
-  let next = ref s.params.Fluid.Params.n_flows in
-  let sink e pkt = Switch.receive sw e pkt in
-  List.iter
-    (fun spec ->
-      let w =
-        match spec with
-        | Cbr { rate } ->
-            let id = !next in
-            incr next;
-            Workload.cbr ~id ~rate
-        | Poisson { mean_rate; seed } ->
-            let id = !next in
-            incr next;
-            Workload.poisson ~id ~mean_rate ~seed
-        | On_off { peak_rate; mean_on; mean_off; seed } ->
-            let id = !next in
-            incr next;
-            Workload.on_off ~id ~peak_rate ~mean_on ~mean_off ~seed
-        | Incast { senders; burst_frames; period; jitter; seed } ->
-            let ids = List.init senders (fun i -> !next + i) in
-            next := !next + senders;
-            Workload.incast ~ids ~burst_frames ~period ~jitter ~seed ()
-      in
-      Workload.start w e ~sink)
-    s.workload
-
-(* ------------------------------------------------------------------ *)
-(* The single compile dispatch                                         *)
-(* ------------------------------------------------------------------ *)
-
-let to_rcp_config s =
-  match s.model with
-  | Rcp { alpha; beta; interval; variant } ->
-      let base =
-        Rcp.default_config ~t_end:s.t_end ~sample_dt:s.sample_dt s.params
-      in
-      {
-        base with
-        Rcp.initial_rate =
-          Option.value s.initial_rate ~default:base.Rcp.initial_rate;
-        control_delay = s.control_delay;
-        alpha;
-        beta;
-        interval;
-        variant;
-      }
-  | _ -> invalid_arg "Scenario.to_rcp_config: not an RCP scenario"
 
 type hooks = {
-  channel : Runner.control_channel option;
-  setup : (Engine.t -> Switch.t -> unit) option;
+  channel : Runner.control_channel;
+  setup : Engine.t -> Switch.t -> unit;
 }
 
 type outcome =
@@ -1004,42 +798,101 @@ type ('c, 'r) compiled = {
 
 type runnable = Runnable : ('c, 'r) compiled -> runnable
 
-(* Prepend [setup] before whatever the config already runs at setup
-   time: fault installation must precede workload start (the order
-   [Store.Sweep] always used), and both must see the live switch. *)
-let compose_setup extra prev =
-  match (extra, prev) with
-  | None, p -> p
-  | Some _, None -> extra
-  | Some f, Some p ->
+(* Cross-traffic flow ids run from [n_flows] upward, in list order. *)
+let start_workloads s e sw =
+  let next = ref s.params.Fluid.Params.n_flows in
+  let fresh k =
+    let id = !next in
+    next := id + k;
+    id
+  in
+  let sink e pkt = Switch.receive sw e pkt in
+  List.iter
+    (fun spec ->
+      let w =
+        match spec with
+        | Cbr { rate } -> Workload.cbr ~id:(fresh 1) ~rate
+        | Poisson { mean_rate; seed } ->
+            Workload.poisson ~id:(fresh 1) ~mean_rate ~seed
+        | On_off { peak_rate; mean_on; mean_off; seed } ->
+            Workload.on_off ~id:(fresh 1) ~peak_rate ~mean_on ~mean_off ~seed
+        | Incast { senders; burst_frames; period; jitter; seed } ->
+            let first = fresh senders in
+            let ids = List.init senders (fun i -> first + i) in
+            Workload.incast ~ids ~burst_frames ~period ~jitter ~seed ()
+      in
+      Workload.start w e ~sink)
+    s.workload
+
+(* One config per replica; [s] is already validated. Bernoulli replica
+   [i] samples with a fresh RNG seeded [seed + i]. *)
+let bcn_configs s k =
+  let base =
+    Runner.default_config ~t_end:s.t_end ~sample_dt:s.sample_dt s.params
+  in
+  let base =
+    {
+      base with
+      Runner.initial_rate =
+        Option.value s.initial_rate ~default:base.Runner.initial_rate;
+      control_delay = s.control_delay;
+      mode = k.mode;
+      positive_to_untagged = k.positive_to_untagged;
+      broadcast_feedback = k.broadcast_feedback;
+      enable_bcn = k.enable_bcn;
+      enable_pause = k.enable_pause;
+      pause_resume = k.pause_resume;
+    }
+  in
+  match k.sampling with
+  | Deterministic -> [| base |]
+  | Timer p -> [| { base with Runner.sampling = Switch.Timer p } |]
+  | Bernoulli ->
+      Array.init s.replicas (fun i -> Runner.with_seed base (s.seed + i))
+
+let runner_configs s =
+  let s = validate s in
+  match s.model with
+  | Bcn k -> bcn_configs s k
+  | _ -> invalid_arg "Scenario.runner_configs: not a BCN scenario"
+
+(* Fault installation runs before whatever the config already runs at
+   setup time (workload start), and both see the live switch. *)
+let setup_before f = function
+  | None -> Some f
+  | Some prev ->
       Some
         (fun e sw ->
           f e sw;
-          p e sw)
+          prev e sw)
 
-let single pack = function
-  | [| r |] -> pack r
-  | rs ->
-      invalid_arg
-        (Printf.sprintf "Scenario.compile: expected 1 result, got %d"
-           (Array.length rs))
+let single config run_many wire pack =
+  Runnable
+    {
+      configs = [| config |];
+      run_many;
+      wire;
+      pack =
+        (function
+        | [| r |] -> pack r
+        | rs ->
+            invalid_arg
+              (Printf.sprintf "Scenario.compile: expected 1 result, got %d"
+                 (Array.length rs)));
+    }
 
 let compile s =
   let s = validate s in
+  let initial_rate default = Option.value s.initial_rate ~default in
   match s.model with
-  | Bcn _ ->
-      let cfgs = runner_configs s in
+  | Bcn k ->
+      let cfgs = bcn_configs s k in
       let cfgs =
         if s.workload = [] then cfgs
         else
           Array.map
             (fun cfg ->
-              {
-                cfg with
-                Runner.on_setup =
-                  compose_setup cfg.Runner.on_setup
-                    (Some (fun e sw -> start_workloads s e sw));
-              })
+              { cfg with Runner.on_setup = Some (start_workloads s) })
             cfgs
       in
       Runnable
@@ -1051,76 +904,81 @@ let compile s =
               (fun cfg h ->
                 {
                   cfg with
-                  Runner.control_channel =
-                    (match h.channel with
-                    | None -> cfg.Runner.control_channel
-                    | some -> some);
-                  on_setup = compose_setup h.setup cfg.Runner.on_setup;
+                  Runner.control_channel = Some h.channel;
+                  on_setup = setup_before h.setup cfg.Runner.on_setup;
                 });
           pack = (fun rs -> Bcn_results rs);
         }
-  | E2cm _ ->
-      Runnable
+  | E2cm { interval } ->
+      let base =
+        E2cm.default_config ~t_end:s.t_end ~sample_dt:s.sample_dt s.params
+      in
+      (* no switch: only channel faults exist for this model (validate
+         enforces it), so [setup] has nothing to arm *)
+      single
         {
-          configs = [| to_e2cm_config s |];
-          run_many = E2cm.run_many;
-          wire =
-            (* no switch: only channel faults exist for this model
-               (validate enforces it), so [setup] has nothing to arm *)
-            Some
-              (fun cfg h ->
-                {
-                  cfg with
-                  E2cm.control_channel =
-                    (match h.channel with
-                    | None -> cfg.E2cm.control_channel
-                    | some -> some);
-                });
-          pack = single (fun r -> E2cm_result r);
+          base with
+          E2cm.initial_rate = initial_rate base.E2cm.initial_rate;
+          control_delay = s.control_delay;
+          interval;
         }
-  | Fera _ ->
-      Runnable
+        E2cm.run_many
+        (Some (fun cfg h -> { cfg with E2cm.control_channel = Some h.channel }))
+        (fun r -> E2cm_result r)
+  | Fera { interval; target_util } ->
+      let base =
+        Fera.default_config ~t_end:s.t_end ~sample_dt:s.sample_dt s.params
+      in
+      single
         {
-          configs = [| to_fera_config s |];
-          run_many = Fera.run_many;
-          wire =
-            Some
-              (fun cfg h ->
-                {
-                  cfg with
-                  Fera.control_channel =
-                    (match h.channel with
-                    | None -> cfg.Fera.control_channel
-                    | some -> some);
-                });
-          pack = single (fun r -> Fera_result r);
+          base with
+          Fera.initial_rate = initial_rate base.Fera.initial_rate;
+          control_delay = s.control_delay;
+          interval;
+          target_util;
         }
-  | Multihop _ ->
-      Runnable
+        Fera.run_many
+        (Some (fun cfg h -> { cfg with Fera.control_channel = Some h.channel }))
+        (fun r -> Fera_result r)
+  | Multihop { c_a; c_b; n_long; n_short; strict_tagging } ->
+      let base =
+        Multihop.default_config ~t_end:s.t_end ~n_long ~n_short s.params
+      in
+      single
         {
-          configs = [| to_multihop_config s |];
-          run_many = Multihop.run_many;
-          wire = None;
-          pack = single (fun r -> Multihop_result r);
+          base with
+          Multihop.c_a;
+          c_b;
+          sample_dt = s.sample_dt;
+          initial_rate = initial_rate base.Multihop.initial_rate;
+          control_delay = s.control_delay;
+          strict_tagging;
         }
-  | Rcp _ ->
-      Runnable
+        Multihop.run_many None
+        (fun r -> Multihop_result r)
+  | Rcp { alpha; beta; interval; variant } ->
+      let base =
+        Rcp.default_config ~t_end:s.t_end ~sample_dt:s.sample_dt s.params
+      in
+      single
         {
-          configs = [| to_rcp_config s |];
-          run_many = Rcp.run_many;
-          wire =
-            Some
-              (fun cfg h ->
-                {
-                  cfg with
-                  Rcp.control_channel =
-                    (match h.channel with
-                    | None -> cfg.Rcp.control_channel
-                    | some -> some);
-                  on_setup = compose_setup h.setup cfg.Rcp.on_setup;
-                });
-          pack = single (fun r -> Rcp_result r);
+          base with
+          Rcp.initial_rate = initial_rate base.Rcp.initial_rate;
+          control_delay = s.control_delay;
+          alpha;
+          beta;
+          interval;
+          variant;
         }
+        Rcp.run_many
+        (Some
+           (fun cfg h ->
+             {
+               cfg with
+               Rcp.control_channel = Some h.channel;
+               on_setup = setup_before h.setup cfg.Rcp.on_setup;
+             }))
+        (fun r -> Rcp_result r)
 
 (* ------------------------------------------------------------------ *)
 (* The protocol-agnostic view of an outcome                            *)
@@ -1141,55 +999,36 @@ let outcome_model = function
   | Multihop_result _ -> "multihop"
   | Rcp_result _ -> "rcp"
 
+let stats ?final_rates queue ~utilization ~drops ~messages =
+  { queue; utilization; drops; messages; final_rates }
+
 let outcome_stats = function
   | Bcn_results rs ->
       Array.map
         (fun (r : Runner.result) ->
-          {
-            queue = r.Runner.queue;
-            utilization = r.Runner.utilization;
-            drops = r.Runner.drops;
-            messages = r.Runner.bcn_positive + r.Runner.bcn_negative;
-            final_rates = Some r.Runner.final_rates;
-          })
+          stats r.Runner.queue ~utilization:r.Runner.utilization
+            ~drops:r.Runner.drops
+            ~messages:(r.Runner.bcn_positive + r.Runner.bcn_negative)
+            ~final_rates:r.Runner.final_rates)
         rs
   | E2cm_result r ->
       [|
-        {
-          queue = r.E2cm.queue;
-          utilization = r.E2cm.utilization;
-          drops = r.E2cm.drops;
-          messages = r.E2cm.messages;
-          final_rates = Some r.E2cm.final_rates;
-        };
+        stats r.E2cm.queue ~utilization:r.E2cm.utilization ~drops:r.E2cm.drops
+          ~messages:r.E2cm.messages ~final_rates:r.E2cm.final_rates;
       |]
   | Fera_result r ->
       [|
-        {
-          queue = r.Fera.queue;
-          utilization = r.Fera.utilization;
-          drops = r.Fera.drops;
-          messages = r.Fera.advertisements;
-          final_rates = Some r.Fera.final_rates;
-        };
+        stats r.Fera.queue ~utilization:r.Fera.utilization ~drops:r.Fera.drops
+          ~messages:r.Fera.advertisements ~final_rates:r.Fera.final_rates;
       |]
   | Multihop_result r ->
       [|
-        {
-          queue = r.Multihop.queue_b;
-          utilization = r.Multihop.utilization_b;
-          drops = r.Multihop.drops_a + r.Multihop.drops_b;
-          messages = r.Multihop.bcn_messages;
-          final_rates = None;
-        };
+        stats r.Multihop.queue_b ~utilization:r.Multihop.utilization_b
+          ~drops:(r.Multihop.drops_a + r.Multihop.drops_b)
+          ~messages:r.Multihop.bcn_messages;
       |]
   | Rcp_result r ->
       [|
-        {
-          queue = r.Rcp.queue;
-          utilization = r.Rcp.utilization;
-          drops = r.Rcp.drops;
-          messages = r.Rcp.feedbacks;
-          final_rates = Some r.Rcp.final_rates;
-        };
+        stats r.Rcp.queue ~utilization:r.Rcp.utilization ~drops:r.Rcp.drops
+          ~messages:r.Rcp.feedbacks ~final_rates:r.Rcp.final_rates;
       |]

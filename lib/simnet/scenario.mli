@@ -99,7 +99,8 @@ val version : int
     versions 1..{!version} and rejects a ["v"] that disagrees with the
     content, keeping canonical bytes 1:1 with scenarios. *)
 
-(** {1 Constructors} — defaults match the corresponding
+(** {1 Constructors} — [t_end = 0.02], [sample_dt = 1e-5],
+    [control_delay = 1e-6]; model defaults match the corresponding
     [default_config]. *)
 
 val bcn :
@@ -176,7 +177,8 @@ val validate : t -> t
 (** Returns the scenario unchanged or raises [Invalid_argument]:
     positive horizon/sampling period, [replicas >= 1] (and Bernoulli
     sampling when > 1), workloads/replicas restricted to the BCN model,
-    positive workload rates, valid fault plan ({!Fault_plan.validate}).
+    positive workload rates, multihop [c_b <= c_a] (hop B is the
+    bottleneck), valid fault plan ({!Fault_plan.validate}).
     Fault support follows what a model physically exposes: BCN takes
     any plan; RCP takes loss/delay/capacity (no blackout — there is no
     congestion point to black out); E2CM/FERA take channel faults only
@@ -215,9 +217,8 @@ val decode_exn : string -> t
     {!compile} is the single dispatch from scenario to execution: it
     validates, builds the per-model configs (workloads already wired for
     BCN), and packages the model's [run_many] together with a fault-hook
-    wiring function and a result packer. Callers that used to match on
-    {!model} and call [to_*_config] by hand now write one
-    model-independent loop:
+    wiring function and a result packer — one arm per protocol. Callers
+    write one model-independent loop:
 
     {[
       match Scenario.compile s with
@@ -234,10 +235,9 @@ val decode_exn : string -> t
     inside the [match] arm. *)
 
 type hooks = {
-  channel : Runner.control_channel option;
-      (** interposed on the model's feedback path ([None] = leave the
-          config's own channel in place) *)
-  setup : (Engine.t -> Switch.t -> unit) option;
+  channel : Runner.control_channel;
+      (** interposed on the model's feedback path *)
+  setup : Engine.t -> Switch.t -> unit;
       (** runs {e before} the config's existing [on_setup] — fault
           installation precedes workload start. Ignored by models
           without a switch (E2CM/FERA — {!validate} restricts their
@@ -305,15 +305,3 @@ val runner_configs : t -> Runner.config array
     [replicas], Bernoulli sampling seeded from [seed]. Unlike
     {!compile}'s [configs], neither the fault plan nor the workloads
     are wired — this is the probe-level escape hatch. *)
-
-val of_runner_config : ?seed:int -> ?replicas:int -> Runner.config -> t
-(** Lift an execution config back to a scenario. Raises
-    [Invalid_argument] when the config is not pure data: an attached
-    [control_channel]/[on_setup] hook, or live [Switch.Bernoulli] RNG
-    state (use [?seed] with a [Deterministic]/[Timer] config and
-    {!with_replicas} instead). *)
-
-val start_workloads : t -> Engine.t -> Switch.t -> unit
-(** Instantiate the scenario's cross-traffic generators (flow ids
-    [params.n_flows], [n_flows + 1], ... in list order) and start them
-    against the switch — call from [Runner.config.on_setup]. *)

@@ -45,6 +45,8 @@ type result = {
 }
 
 let victim_scenario cfg =
+  Model.check "Topology.victim_scenario" ~t_end:cfg.t_end
+    ~sample_dt:cfg.sample_dt ();
   if cfg.n_hot < 1 then invalid_arg "Topology.victim_scenario: n_hot < 1";
   let p = cfg.params in
   let e = Engine.create () in
@@ -133,31 +135,18 @@ let victim_scenario cfg =
   in
   sources.(victim_id) <- Some victim;
   Source.start victim e;
-  (* trace sampler *)
-  let n_samples = int_of_float (Float.ceil (cfg.t_end /. cfg.sample_dt)) + 1 in
-  let ts = Array.make n_samples 0. in
-  let core_q = Array.make n_samples 0. in
-  let edge_q = Array.make n_samples 0. in
-  let idx = ref 0 in
   let paused_samples = ref 0 in
-  let rec sampler e =
-    if !idx < n_samples then begin
-      ts.(!idx) <- Engine.now e;
-      core_q.(!idx) <- Switch.queue_bits core;
-      edge_q.(!idx) <- Switch.queue_bits edge_hot;
-      if Source.is_paused victim then incr paused_samples;
-      incr idx
-    end;
-    if Engine.now e +. cfg.sample_dt <= cfg.t_end then
-      Engine.schedule e ~delay:cfg.sample_dt sampler
+  let tr =
+    Model.trace e ~t_end:cfg.t_end ~sample_dt:cfg.sample_dt ~cols:2
+      (fun _e row ->
+        row.(0) <- Switch.queue_bits core;
+        row.(1) <- Switch.queue_bits edge_hot;
+        if Source.is_paused victim then incr paused_samples)
   in
-  Engine.schedule e ~delay:0. sampler;
-  Engine.run ~until:cfg.t_end e;
-  let m = !idx in
-  let cut a = Array.sub a 0 m in
+  let m = Model.samples tr in
   {
-    core_queue = Series.make (cut ts) (cut core_q);
-    edge_hot_queue = Series.make (cut ts) (cut edge_q);
+    core_queue = Model.series tr 0;
+    edge_hot_queue = Model.series tr 1;
     victim_delivered_bits = !victim_delivered;
     victim_goodput = !victim_delivered /. cfg.t_end;
     victim_offered = cfg.victim_rate;

@@ -48,14 +48,7 @@ let sweep ?cache ?refresh ?jobs ?on_progress scenarios =
       | None -> ());
       r
     in
-    let size =
-      match jobs with Some j -> j | None -> Parallel.Pool.default_size ()
-    in
-    if size < 1 then invalid_arg "Store.Sweep.sweep: jobs < 1";
-    if size = 1 || total = 1 then Array.map task scenarios
-    else
-      Parallel.Pool.with_pool ~size (fun pool ->
-          Parallel.Pool.map_array pool task scenarios)
+    Parallel.Pool.fan_out ?jobs ~what:"Store.Sweep.sweep" task scenarios
   end
 
 let resilience_memo cache =

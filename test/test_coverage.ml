@@ -287,6 +287,91 @@ let test_qcn_quantize_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* Every packet model rejects a zero, negative or non-finite horizon,
+   sample period or control interval up front: each of these used to
+   hang, exhaust memory or return a silent one-sample trace. *)
+let test_packet_model_validation () =
+  let p = Fluid.Params.default in
+  let module S = Simnet in
+  let runs ~t_end ~sample_dt =
+    [
+      ( "Runner",
+        fun () ->
+          ignore
+            (S.Runner.run
+               { (S.Runner.default_config p) with S.Runner.t_end; sample_dt })
+      );
+      ( "E2cm",
+        fun () ->
+          ignore (S.E2cm.run { (S.E2cm.default_config p) with S.E2cm.t_end; sample_dt })
+      );
+      ( "Fera",
+        fun () ->
+          ignore (S.Fera.run { (S.Fera.default_config p) with S.Fera.t_end; sample_dt })
+      );
+      ( "Rcp",
+        fun () ->
+          ignore (S.Rcp.run { (S.Rcp.default_config p) with S.Rcp.t_end; sample_dt })
+      );
+      ( "Multihop",
+        fun () ->
+          ignore
+            (S.Multihop.run
+               { (S.Multihop.default_config p) with S.Multihop.t_end; sample_dt })
+      );
+      ( "Qcn",
+        fun () ->
+          ignore (S.Qcn.run { (S.Qcn.default_config p) with S.Qcn.t_end; sample_dt })
+      );
+      ( "Topology",
+        fun () ->
+          ignore
+            (S.Topology.victim_scenario
+               { (S.Topology.default_config p) with S.Topology.t_end; sample_dt })
+      );
+    ]
+  in
+  let intervals interval =
+    [
+      ( "E2cm",
+        fun () ->
+          ignore
+            (S.E2cm.run
+               { (S.E2cm.default_config ~t_end:1e-3 p) with S.E2cm.interval })
+      );
+      ( "Fera",
+        fun () ->
+          ignore
+            (S.Fera.run
+               { (S.Fera.default_config ~t_end:1e-3 p) with S.Fera.interval })
+      );
+      ( "Rcp",
+        fun () ->
+          ignore
+            (S.Rcp.run { (S.Rcp.default_config ~t_end:1e-3 p) with S.Rcp.interval })
+      );
+    ]
+  in
+  let rejects name thunk =
+    Alcotest.(check bool) name true
+      (try
+         thunk ();
+         false
+       with Invalid_argument _ -> true)
+  in
+  List.iter
+    (fun (label, v) ->
+      List.iter
+        (fun (model, thunk) -> rejects (model ^ " t_end = " ^ label) thunk)
+        (runs ~t_end:v ~sample_dt:1e-5);
+      List.iter
+        (fun (model, thunk) -> rejects (model ^ " sample_dt = " ^ label) thunk)
+        (runs ~t_end:1e-3 ~sample_dt:v);
+      List.iter
+        (fun (model, thunk) -> rejects (model ^ " interval = " ^ label) thunk)
+        (intervals v))
+    [ ("0", 0.); ("-1", -1.); ("nan", nan); ("inf", infinity) ]
+
 (* ---------------- Analysis / Figures extras ---------------- *)
 
 let test_analysis_to_string_contains_sections () =
@@ -355,6 +440,8 @@ let () =
           Alcotest.test_case "packet pp" `Quick test_packet_pp;
           Alcotest.test_case "workload rates" `Quick test_workload_mean_rates;
           Alcotest.test_case "qcn validation" `Quick test_qcn_quantize_validation;
+          Alcotest.test_case "packet model validation" `Quick
+            test_packet_model_validation;
         ] );
       ( "core-extras",
         [

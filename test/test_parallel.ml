@@ -147,6 +147,34 @@ let test_figures_parallel_equals_serial () =
       Alcotest.(check string) (id_s ^ " text") text_s text_p)
     serial parallel
 
+(* ---------------- fan_out ---------------- *)
+
+let test_fan_out_empty () =
+  Alcotest.(check (array int)) "empty input" [||]
+    (Parallel.Pool.fan_out ~what:"t" succ [||]);
+  (* no lanes are resolved for an empty input, so even jobs = 0 is fine *)
+  Alcotest.(check (array int)) "empty input, jobs = 0" [||]
+    (Parallel.Pool.fan_out ~jobs:0 ~what:"t" succ [||])
+
+let test_fan_out_jobs_check () =
+  Alcotest.check_raises "jobs < 1"
+    (Invalid_argument "Model.run_many: jobs < 1") (fun () ->
+      ignore (Parallel.Pool.fan_out ~jobs:0 ~what:"Model.run_many" succ [| 1 |]))
+
+(* jobs 1 and 4 agree and keep input order; the default-jobs call
+   follows DCECC_JOBS, which @runtest-fast sets to 1 and to 4 *)
+let test_fan_out_order () =
+  let xs = Array.init 37 Fun.id in
+  let f x = Printf.sprintf "%d:%d" x (x * x) in
+  let expected = Array.map f xs in
+  List.iter
+    (fun (label, got) -> Alcotest.(check (array string)) label expected got)
+    [
+      ("jobs 1", Parallel.Pool.fan_out ~jobs:1 ~what:"t" f xs);
+      ("jobs 4", Parallel.Pool.fan_out ~jobs:4 ~what:"t" f xs);
+      ("default jobs", Parallel.Pool.fan_out ~what:"t" f xs);
+    ]
+
 let () =
   Alcotest.run "parallel"
     [
@@ -165,6 +193,13 @@ let () =
           Alcotest.test_case "create validation" `Quick test_create_validation;
           QCheck_alcotest.to_alcotest prop_map_is_list_map;
           QCheck_alcotest.to_alcotest prop_parmap_is_array_map;
+        ] );
+      ( "fan_out",
+        [
+          Alcotest.test_case "empty input" `Quick test_fan_out_empty;
+          Alcotest.test_case "jobs < 1 message" `Quick test_fan_out_jobs_check;
+          Alcotest.test_case "jobs 1 = jobs 4, order kept" `Quick
+            test_fan_out_order;
         ] );
       ( "figures",
         [

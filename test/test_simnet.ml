@@ -1153,6 +1153,117 @@ let prop_source_rate_always_in_bounds =
       let r = Simnet.Source.rate src in
       r >= 1e3 && r <= 1e9)
 
+(* ---------------- Packet digests ---------------- *)
+
+(* SHA-256 of the Marshal bytes of every packet model's result on a
+   short default run, and of [Faultnet.Exec.run] over the committed v1
+   scenario fixture plus channel- and capacity-fault scenarios for the
+   explicit-rate models. Any change to a model's event schedule, to its
+   sampled trace or to the sharing inside its result shows up here. *)
+let packet_digest_cases () =
+  let p = Fluid.Params.default in
+  let t_end = 2e-3 in
+  let digest v = Store.Key.sha256_hex (Marshal.to_string v []) in
+  let fixture =
+    let path =
+      if Sys.file_exists "scenario_v1.jsonl" then "scenario_v1.jsonl"
+      else Filename.concat "test" "scenario_v1.jsonl"
+    in
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let exec s = digest (Faultnet.Exec.run ~jobs:1 s) in
+  let module S = Simnet.Scenario in
+  let module F = Simnet.Fault_plan in
+  let channel_plan =
+    {
+      F.none with
+      F.seed = 5;
+      bcn_pos_loss = Some (F.Bernoulli 0.2);
+      bcn_neg_loss = Some (F.Bernoulli 0.2);
+      delay = Some { F.fixed = 2e-6; jitter = 1e-6; reorder = false };
+    }
+  in
+  let flap_plan =
+    { F.none with F.seed = 3; capacity = Some (F.Flap_schedule [ (5e-4, 0.5) ]) }
+  in
+  [
+    ("runner", digest (Simnet.Runner.run (Simnet.Runner.default_config ~t_end p)));
+    ( "runner stop_on_verdict",
+      digest
+        (Simnet.Runner.run
+           {
+             (probe_cfg ~enable_pause:false ~buffer:1e6) with
+             Simnet.Runner.stop_on_verdict = true;
+           }) );
+    ("e2cm", digest (Simnet.E2cm.run (Simnet.E2cm.default_config ~t_end p)));
+    ( "fera",
+      digest
+        (Simnet.Fera.run
+           (Simnet.Fera.default_config ~t_end:0.01
+              (Fluid.Params.with_buffer p 15e6))) );
+    ("rcp", digest (Simnet.Rcp.run (Simnet.Rcp.default_config ~t_end p)));
+    ( "multihop",
+      digest (Simnet.Multihop.run (Simnet.Multihop.default_config ~t_end p)) );
+    ("qcn", digest (Simnet.Qcn.run (Simnet.Qcn.default_config ~t_end p)));
+    ( "topology",
+      digest
+        (Simnet.Topology.victim_scenario
+           (Simnet.Topology.default_config ~t_end p)) );
+    ("e2cm + channel", exec (S.with_fault (S.e2cm ~t_end p) channel_plan));
+    ("fera + channel", exec (S.with_fault (S.fera ~t_end p) channel_plan));
+    ("rcp + channel", exec (S.with_fault (S.rcp ~t_end p) channel_plan));
+    ("rcp + flap", exec (S.with_fault (S.rcp ~t_end p) flap_plan));
+  ]
+  @ List.mapi
+      (fun i line ->
+        (Printf.sprintf "fixture line %d" (i + 1), exec (S.decode_exn line)))
+      fixture
+
+let expected_packet_digests =
+  [
+    ("runner",
+     "f7ffa45121c3d920ab48b5200ec4ba0dd1b32a0cd4af3e913c4574b1a7c25e3f");
+    ("runner stop_on_verdict",
+     "9fe7e489d1591daa7d8a2f5ddeb66f7780f0ea6ba953c1779ad7054f44c56e3f");
+    ("e2cm",
+     "150a3d4af65be8d0b3a7e297f573d49aaa924afc3ca763ea5920260fb310f309");
+    ("fera",
+     "57c6f156214fec5f09ae6e8ec138447530f0fc3a6262511630513268bae70479");
+    ("rcp",
+     "10e2f8682a6532c6b87324becb861c7f66aaa0afc4ce3d604b34ed9388bb70a9");
+    ("multihop",
+     "781810ad0c0e80d8a3ba1335796edff5f681383b8e0c93050b0b514e33eec595");
+    ("qcn",
+     "1128273585939ecc7b854382ce87f663c453e2a8dd6044ecc5075bb05107778a");
+    ("topology",
+     "5bca785349e4876f0ef115b81b88cc8e9ef77ca9f65d745674b4933545770372");
+    ("e2cm + channel",
+     "bf03a3af13b6a93d2459f2ef706694ab1924f8a1f378301fc02ae33b76615eb8");
+    ("fera + channel",
+     "246228518b7040bd979d3d06e1e6767e32670716d4d93175c65b2c203fa11629");
+    ("rcp + channel",
+     "611f5a5838ddd8de4fd1f4bc9f07ad0f1aee557dfe0801fb30aac0f3cf794c1a");
+    ("rcp + flap",
+     "79e7f6d75a7fdaea832fbc0c5e53412d0deaf2576bd67b9e4a4f05c6661bd81f");
+    ("fixture line 1",
+     "0b70e11110ee6c0640f2eeb1e19992bcaa00247d7a74ddb4f4a151964dc998eb");
+    ("fixture line 2",
+     "3366cf94a309b88046290642e2373e79e9a8b044d7a2dc422041f84c91e8456c");
+    ("fixture line 3",
+     "c8a8e04400c5a98802ee5fc0e73be16c5c5c9f64273a88dca4a919ee5f481ae5");
+    ("fixture line 4",
+     "95d7afe156aa6373f5097bc4c8b5e74c1f940e9de30196ca688ea8a4cfd28690");
+    ("fixture line 5",
+     "db728996a1d78327ab52633caee2e14877e70ad0adcbe5ce9f295665c508dec2");
+  ]
+
+let test_packet_digests () =
+  let got = packet_digest_cases () in
+  Alcotest.(check (list (pair string string)))
+    "digests" expected_packet_digests got
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -1298,5 +1409,10 @@ let () =
         [
           Alcotest.test_case "quantize" `Quick test_qcn_quantize;
           Alcotest.test_case "runs and controls" `Quick test_qcn_runs_and_controls;
+        ] );
+      ( "packet digests",
+        [
+          Alcotest.test_case "seven models + v1 fixture" `Quick
+            test_packet_digests;
         ] );
     ]

@@ -241,7 +241,13 @@ let test_decode_rejects () =
   rejects "invalid semantics (t_end < 0)"
     "{\"v\": 1, \"t_end\": -1.0, \"model\": {\"kind\": \"bcn\"}, \"params\": \
      {\"n_flows\": 1, \"capacity\": 1e9, \"q0\": 1e5, \"buffer\": 5e6, \
-     \"gi\": 1.0, \"gd\": 4.0, \"ru\": 1e6}}"
+     \"gi\": 1.0, \"gd\": 4.0, \"ru\": 1e6}}";
+  (* hop B must be the tighter one, or the run would fail mid-way *)
+  rejects "multihop c_b > c_a"
+    "{\"v\": 1, \"model\": {\"kind\": \"multihop\", \"c_a\": 1e9, \
+     \"c_b\": 2e9}, \"params\": {\"n_flows\": 1, \"capacity\": 1e9, \
+     \"q0\": 1e5, \"buffer\": 5e6, \"gi\": 1.0, \"gd\": 4.0, \"ru\": \
+     1e6}}"
 
 (* qcheck: random valid BCN scenarios round-trip through the encoding *)
 let scenario_gen =
