@@ -80,42 +80,23 @@ let read_file = function
   | "-" -> In_channel.input_all stdin
   | path -> In_channel.with_open_bin path In_channel.input_all
 
-let rec reemit j =
-  let open Simnet.Json_read in
-  match j with
-  | Null -> "null"
-  | Jbool b -> Telemetry.Json.bool b
-  | Num f -> Telemetry.Json.float_full f
-  | Jstr s -> Telemetry.Json.str s
-  | Jarr xs -> Telemetry.Json.arr (List.map reemit xs)
-  | Jobj fields ->
-      Telemetry.Json.obj (List.map (fun (k, v) -> (k, reemit v)) fields)
-
 (* A scenario document is itself a valid request body: wrap it as a
    run. A document carrying "kind" is a full protocol request; its
    "id" (if any) is replaced by ours. *)
 let command_of_document src =
   let open Simnet.Json_read in
+  let decoded = function
+    | Ok v -> v
+    | Error msg -> invalid_arg ("request file: " ^ msg)
+  in
   match parse src with
   | exception Bad msg -> invalid_arg ("request file: " ^ msg)
-  | j -> (
-      let o = as_obj "request" j in
-      match field o "kind" with
-      | None -> (
-          match Simnet.Scenario.of_json j with
-          | Ok s -> Serve.Protocol.Compute (Serve.Tasks.Run s)
-          | Error msg -> invalid_arg ("request file: " ^ msg))
-      | Some _ -> (
-          let line =
-            Telemetry.Json.obj
-              (("id", Telemetry.Json.int 1)
-              :: List.filter_map
-                   (fun (k, v) -> if k = "id" then None else Some (k, reemit v))
-                   o)
-          in
-          match Serve.Protocol.parse_request line with
-          | Ok { Serve.Protocol.command; _ } -> command
-          | Error msg -> invalid_arg ("request file: " ^ msg)))
+  | Jobj o when field o "kind" <> None ->
+      let o = ("id", Num 1.) :: List.remove_assoc "id" o in
+      (decoded (Serve.Protocol.of_json (Jobj o))).Serve.Protocol.command
+  | j ->
+      let s = decoded (Simnet.Scenario.of_json j) in
+      Serve.Protocol.Compute (Serve.Tasks.Run s)
 
 let request_run socket file =
   let command = command_of_document (read_file file) in

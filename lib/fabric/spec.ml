@@ -1,5 +1,4 @@
 module Scenario = Simnet.Scenario
-module J = Telemetry.Json
 
 type t =
   | Explicit of Scenario.t array
@@ -40,73 +39,36 @@ let ranges ~total ~chunk =
 
 (* ---------- canonical encoding ---------- *)
 
-let encode spec =
-  match validate spec with
-  | Explicit scenarios ->
-      J.obj
-        [
-          ("fabric", J.int 1);
-          ("kind", J.str "list");
-          ( "scenarios",
-            J.arr (Array.to_list (Array.map Scenario.encode scenarios)) );
-        ]
-  | Seeds { base; first_seed; count } ->
-      J.obj
-        [
-          ("fabric", J.int 1);
-          ("kind", J.str "seeds");
-          ("base", Scenario.encode base);
-          ("first_seed", J.int first_seed);
-          ("count", J.int count);
-        ]
-
-let of_json j =
+let codec =
   let open Simnet.Json_read in
-  match
-    let what = "fabric spec" in
-    let o = as_obj what j in
-    (match get_int what o "fabric" with
-    | 1 -> ()
-    | v -> bad "%s.fabric: unsupported version %d" what v);
-    match get_str what o "kind" with
-    | "list" -> (
-        check_known what [ "fabric"; "kind"; "scenarios" ] o;
-        match field o "scenarios" with
-        | Some (Jarr items) ->
-            let scenarios =
-              List.map
-                (fun item ->
-                  match Scenario.of_json item with
-                  | Ok s -> s
-                  | Error msg -> bad "%s.scenarios: %s" what msg)
-                items
-            in
-            if scenarios = [] then bad "%s.scenarios: empty" what;
-            Explicit (Array.of_list scenarios)
-        | Some _ -> bad "%s.scenarios: expected an array" what
-        | None -> bad "%s.scenarios: missing" what)
-    | "seeds" -> (
-        check_known what [ "fabric"; "kind"; "base"; "first_seed"; "count" ] o;
-        match field o "base" with
-        | None -> bad "%s.base: missing" what
-        | Some b -> (
-            match Scenario.of_json b with
-            | Error msg -> bad "%s.base: %s" what msg
-            | Ok base ->
-                let count = get_int what o "count" in
-                if count < 1 then bad "%s.count: must be >= 1" what;
-                Seeds
-                  { base; first_seed = get_int what o "first_seed"; count }))
-    | other -> bad "%s.kind: unknown kind %S" what other
-  with
-  | spec -> Ok spec
-  | exception Bad msg -> Error msg
+  let scenario = embed Scenario.encode Scenario.of_json in
+  let arms () =
+    let base = Scenario.bcn Fluid.Params.default in
+    [ Explicit [||]; Seeds { base; first_seed = 0; count = 0 } ]
+  in
+  record "fabric spec" (Explicit [||]) (fun o spec ->
+      (match req o "fabric" int 1 with
+      | 1 -> ()
+      | v -> bad "fabric spec.fabric: unsupported version %d" v);
+      validate
+        (cases o arms
+           (fun o -> function
+             | Explicit scenarios ->
+                 tag o "list";
+                 Explicit
+                   (req o "scenarios"
+                      (conv Array.to_list Array.of_list (list scenario))
+                      scenarios)
+             | Seeds r ->
+                 tag o "seeds";
+                 let base = req o "base" scenario r.base in
+                 let first_seed = req o "first_seed" int r.first_seed in
+                 Seeds { base; first_seed; count = req o "count" int r.count })
+           spec))
 
-let decode s =
-  let open Simnet.Json_read in
-  match parse s with
-  | j -> of_json j
-  | exception Bad msg -> Error msg
+let encode spec = Simnet.Json_read.encode codec spec
+let decode s = Simnet.Json_read.decode codec s
+let of_json j = Simnet.Json_read.of_json codec j
 
 let decode_exn s =
   match decode s with Ok spec -> spec | Error msg -> invalid_arg msg

@@ -14,6 +14,11 @@ type t = {
 
 let validate p =
   let req cond msg = if not cond then invalid_arg ("Params: " ^ msg) in
+  let fin = Float.is_finite in
+  req
+    (fin p.capacity && fin p.w && fin p.pm && fin p.q0 && fin p.buffer
+   && fin p.qsc && fin p.gi && fin p.gd && fin p.ru && fin p.mu)
+    "every float field must be finite";
   req (p.n_flows > 0) "n_flows must be positive";
   req (p.capacity > 0.) "capacity must be positive";
   req (p.w > 0.) "w must be positive";

@@ -36,7 +36,8 @@ val make :
   t
 (** Defaults: [w = 2], [pm = 0.01], [qsc = 0.9·buffer], [mu = 0].
     Raises [Invalid_argument] when any constraint fails:
-    positive N, C, q0, B, Gi, Gd, Ru, w, pm; [pm <= 1]; [q0 < B];
+    every float field finite; positive N, C, q0, B, Gi, Gd, Ru, w, pm;
+    [pm <= 1]; [q0 < B];
     [q0 <= qsc <= B]; [0 <= mu]. *)
 
 val default : t

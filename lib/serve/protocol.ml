@@ -1,5 +1,4 @@
 open Simnet.Json_read
-module J = Telemetry.Json
 
 type command =
   | Compute of Tasks.request
@@ -9,193 +8,6 @@ type command =
   | Shutdown
 
 type request = { id : int; command : command }
-
-let split_commas s =
-  String.split_on_char ',' s |> List.map String.trim
-  |> List.filter (fun x -> x <> "")
-
-let get_float_field what o name =
-  match field o name with
-  | Some _ -> Some (get_float what o name)
-  | None -> None
-
-let get_int_field what o name =
-  match field o name with
-  | Some _ -> Some (get_int what o name)
-  | None -> None
-
-let parse_command o =
-  let what = "request" in
-  let kind = get_str what o "kind" in
-  match kind with
-  | "run" -> (
-      match field o "scenario" with
-      | None -> bad "request.scenario: missing"
-      | Some j -> (
-          check_known what [ "id"; "kind"; "scenario" ] o;
-          match Simnet.Scenario.of_json j with
-          | Ok s -> Compute (Tasks.Run s)
-          | Error msg -> bad "request.scenario: %s" msg))
-  | "sweep" ->
-      check_known what
-        [ "id"; "kind"; "param"; "from"; "to"; "steps"; "log"; "buffer" ]
-        o;
-      Compute
-        (Tasks.Sweep
-           {
-             param = get_str what o "param";
-             lo = get_float what o "from";
-             hi = get_float what o "to";
-             steps = get_int what o "steps";
-             log_scale = get_bool_opt what o "log" ~default:false;
-             buffer = get_float_opt what o "buffer" ~default:15e6;
-           })
-  | "margin" ->
-      check_known what
-        [
-          "id"; "kind"; "axes"; "flap_period"; "flap_duty"; "t_end";
-          "transient"; "iters"; "seed";
-        ]
-        o;
-      Compute
-        (Tasks.Margin
-           {
-             axes = split_commas (get_str what o "axes");
-             flap_period = get_float_opt what o "flap_period" ~default:2e-3;
-             flap_duty = get_float_opt what o "flap_duty" ~default:0.5;
-             t_end = get_float_opt what o "t_end" ~default:0.02;
-             transient = get_float_field what o "transient";
-             iters = get_int_field what o "iters";
-             seed = get_int_opt what o "seed" ~default:0;
-           })
-  | "region" ->
-      check_known what
-        [
-          "id"; "kind"; "param"; "from"; "to"; "param2"; "from2"; "to2";
-          "buffer"; "coarse"; "levels";
-        ]
-        o;
-      Compute
-        (Tasks.Region
-           {
-             param = get_str what o "param";
-             lo = get_float what o "from";
-             hi = get_float what o "to";
-             param2 = get_str what o "param2";
-             lo2 = get_float what o "from2";
-             hi2 = get_float what o "to2";
-             buffer = get_float_opt what o "buffer" ~default:15e6;
-             coarse = get_int_opt what o "coarse" ~default:8;
-             levels = get_int_opt what o "levels" ~default:3;
-           })
-  | "batch" -> (
-      match field o "spec" with
-      | None -> bad "request.spec: missing"
-      | Some j -> (
-          check_known what [ "id"; "kind"; "spec"; "chunk"; "json" ] o;
-          match Fabric.Spec.of_json j with
-          | Ok spec ->
-              Compute
-                (Tasks.Batch
-                   {
-                     spec;
-                     chunk = get_int_opt what o "chunk" ~default:16;
-                     as_json = get_bool_opt what o "json" ~default:false;
-                   })
-          | Error msg -> bad "request.spec: %s" msg))
-  | "stats" ->
-      check_known what [ "id"; "kind" ] o;
-      Stats
-  | "subscribe" ->
-      check_known what [ "id"; "kind" ] o;
-      Subscribe
-  | "cancel" ->
-      check_known what [ "id"; "kind"; "target" ] o;
-      Cancel (get_int what o "target")
-  | "shutdown" ->
-      check_known what [ "id"; "kind" ] o;
-      Shutdown
-  | other -> bad "request.kind: unknown kind %S" other
-
-let parse_request line =
-  match parse line with
-  | j ->
-      let o = as_obj "request" j in
-      let id = get_int "request" o "id" in
-      (match parse_command o with
-      | command -> Ok { id; command }
-      | exception Bad msg -> Error msg)
-  | exception Bad msg -> Error msg
-
-(* ---------- request encoding ---------- *)
-
-let encode_request ~id command =
-  let base = [ ("id", J.int id) ] in
-  let fields =
-    match command with
-    | Compute (Tasks.Run s) ->
-        base
-        @ [ ("kind", J.str "run"); ("scenario", Simnet.Scenario.encode s) ]
-    | Compute (Tasks.Sweep { param; lo; hi; steps; log_scale; buffer }) ->
-        base
-        @ [
-            ("kind", J.str "sweep");
-            ("param", J.str param);
-            ("from", J.float_full lo);
-            ("to", J.float_full hi);
-            ("steps", J.int steps);
-            ("log", J.bool log_scale);
-            ("buffer", J.float_full buffer);
-          ]
-    | Compute
-        (Tasks.Margin
-           { axes; flap_period; flap_duty; t_end; transient; iters; seed }) ->
-        base
-        @ [
-            ("kind", J.str "margin");
-            ("axes", J.str (String.concat "," axes));
-            ("flap_period", J.float_full flap_period);
-            ("flap_duty", J.float_full flap_duty);
-            ("t_end", J.float_full t_end);
-          ]
-        @ (match transient with
-          | Some t -> [ ("transient", J.float_full t) ]
-          | None -> [])
-        @ (match iters with Some i -> [ ("iters", J.int i) ] | None -> [])
-        @ [ ("seed", J.int seed) ]
-    | Compute
-        (Tasks.Region
-           { param; lo; hi; param2; lo2; hi2; buffer; coarse; levels }) ->
-        base
-        @ [
-            ("kind", J.str "region");
-            ("param", J.str param);
-            ("from", J.float_full lo);
-            ("to", J.float_full hi);
-            ("param2", J.str param2);
-            ("from2", J.float_full lo2);
-            ("to2", J.float_full hi2);
-            ("buffer", J.float_full buffer);
-            ("coarse", J.int coarse);
-            ("levels", J.int levels);
-          ]
-    | Compute (Tasks.Batch { spec; chunk; as_json }) ->
-        base
-        @ [
-            ("kind", J.str "batch");
-            ("spec", Fabric.Spec.encode spec);
-            ("chunk", J.int chunk);
-            ("json", J.bool as_json);
-          ]
-    | Stats -> base @ [ ("kind", J.str "stats") ]
-    | Subscribe -> base @ [ ("kind", J.str "subscribe") ]
-    | Cancel target ->
-        base @ [ ("kind", J.str "cancel"); ("target", J.int target) ]
-    | Shutdown -> base @ [ ("kind", J.str "shutdown") ]
-  in
-  J.obj fields ^ "\n"
-
-(* ---------- responses ---------- *)
 
 type response =
   | Queued of { id : int; key : string }
@@ -208,98 +20,185 @@ type response =
   | Progress of { key : string; state : string; queue_depth : int }
   | Telemetry of { metrics : (string * float) list }
 
-let metrics_obj metrics =
-  J.obj (List.map (fun (k, v) -> (k, J.float_full v)) metrics)
+let id o v = req o "id" int v
 
-let encode_response r =
-  (J.obj
-     (match r with
-     | Queued { id; key } ->
-         [ ("id", J.int id); ("event", J.str "queued"); ("key", J.str key) ]
-     | Result { id; warm; dedup; payload } ->
-         [
-           ("id", J.int id);
-           ("event", J.str "result");
-           ("warm", J.bool warm);
-           ("dedup", J.bool dedup);
-           ("payload", J.str payload);
-         ]
-     | Error { id; message } ->
-         [
-           ("id", J.int id);
-           ("event", J.str "error");
-           ("message", J.str message);
-         ]
-     | Cancelled { id } -> [ ("id", J.int id); ("event", J.str "cancelled") ]
-     | Stats_reply { id; metrics } ->
-         [
-           ("id", J.int id);
-           ("event", J.str "stats");
-           ("metrics", metrics_obj metrics);
-         ]
-     | Subscribed { id } -> [ ("id", J.int id); ("event", J.str "subscribed") ]
-     | Bye { id } -> [ ("id", J.int id); ("event", J.str "bye") ]
-     | Progress { key; state; queue_depth } ->
-         [
-           ("event", J.str "progress");
-           ("key", J.str key);
-           ("state", J.str state);
-           ("queue_depth", J.int queue_depth);
-         ]
-     | Telemetry { metrics } ->
-         [ ("event", J.str "telemetry"); ("metrics", metrics_obj metrics) ]))
-  ^ "\n"
+let axes =
+  conv (String.concat ",")
+    (fun s ->
+      String.split_on_char ',' s |> List.map String.trim
+      |> List.filter (fun x -> x <> ""))
+    string
 
-let parse_metrics what o name =
-  match field o name with
-  | None -> bad "%s.%s: missing" what name
-  | Some j ->
-      List.map
-        (fun (k, v) ->
-          match v with
-          | Num f -> (k, f)
-          | _ -> bad "%s.%s.%s: expected a number" what name k)
-        (as_obj (what ^ "." ^ name) j)
+let scenario = embed Simnet.Scenario.encode Simnet.Scenario.of_json
+let spec = embed Fabric.Spec.encode Fabric.Spec.of_json
 
-let parse_response line =
-  match parse line with
-  | j -> (
-      let what = "response" in
-      let o = as_obj what j in
-      match
-        match get_str what o "event" with
-        | "queued" ->
-            Queued { id = get_int what o "id"; key = get_str what o "key" }
-        | "result" ->
-            Result
-              {
-                id = get_int what o "id";
-                warm = get_bool_opt what o "warm" ~default:false;
-                dedup = get_bool_opt what o "dedup" ~default:false;
-                payload = get_str what o "payload";
-              }
-        | "error" ->
-            Error
-              { id = get_int what o "id"; message = get_str what o "message" }
-        | "cancelled" -> Cancelled { id = get_int what o "id" }
-        | "stats" ->
-            Stats_reply
-              {
-                id = get_int what o "id";
-                metrics = parse_metrics what o "metrics";
-              }
-        | "subscribed" -> Subscribed { id = get_int what o "id" }
-        | "bye" -> Bye { id = get_int what o "id" }
-        | "progress" ->
-            Progress
-              {
-                key = get_str what o "key";
-                state = get_str what o "state";
-                queue_depth = get_int what o "queue_depth";
-              }
-        | "telemetry" -> Telemetry { metrics = parse_metrics what o "metrics" }
-        | other -> bad "response.event: unknown event %S" other
-      with
-      | r -> Ok r
-      | exception Bad msg -> Error msg)
-  | exception Bad msg -> Error msg
+(* Decode templates: each arm's defaults. *)
+let commands =
+  [
+    Compute (Tasks.Run (Simnet.Scenario.bcn Fluid.Params.default));
+    Compute
+      (Tasks.Sweep
+         {
+           param = "";
+           lo = 0.;
+           hi = 0.;
+           steps = 0;
+           log_scale = false;
+           buffer = 15e6;
+         });
+    Compute
+      (Tasks.Margin
+         {
+           axes = [];
+           flap_period = 2e-3;
+           flap_duty = 0.5;
+           t_end = 0.02;
+           transient = None;
+           iters = None;
+           seed = 0;
+         });
+    Compute
+      (Tasks.Region
+         {
+           param = "";
+           lo = 0.;
+           hi = 0.;
+           param2 = "";
+           lo2 = 0.;
+           hi2 = 0.;
+           buffer = 15e6;
+           coarse = 8;
+           levels = 3;
+         });
+    Compute
+      (Tasks.Batch
+         { spec = Fabric.Spec.Explicit [||]; chunk = 16; as_json = false });
+    Stats;
+    Subscribe;
+    Cancel 0;
+    Shutdown;
+  ]
+
+let command o = function
+  | Compute (Tasks.Run s) ->
+      tag o "run";
+      Compute (Tasks.Run (req o "scenario" scenario s))
+  | Compute (Tasks.Sweep r) ->
+      tag o "sweep";
+      let param = req o "param" string r.param in
+      let lo = req o "from" float r.lo in
+      let hi = req o "to" float r.hi in
+      let steps = req o "steps" int r.steps in
+      let log_scale = opt o "log" bool r.log_scale in
+      let buffer = opt o "buffer" float r.buffer in
+      Compute (Tasks.Sweep { param; lo; hi; steps; log_scale; buffer })
+  | Compute (Tasks.Margin r) ->
+      tag o "margin";
+      let axes = req o "axes" axes r.axes in
+      let flap_period = opt o "flap_period" float r.flap_period in
+      let flap_duty = opt o "flap_duty" float r.flap_duty in
+      let t_end = opt o "t_end" float r.t_end in
+      let transient = maybe o "transient" float r.transient in
+      let iters = maybe o "iters" int r.iters in
+      let seed = opt o "seed" int r.seed in
+      Compute
+        (Tasks.Margin
+           { axes; flap_period; flap_duty; t_end; transient; iters; seed })
+  | Compute (Tasks.Region r) ->
+      tag o "region";
+      let param = req o "param" string r.param in
+      let lo = req o "from" float r.lo in
+      let hi = req o "to" float r.hi in
+      let param2 = req o "param2" string r.param2 in
+      let lo2 = req o "from2" float r.lo2 in
+      let hi2 = req o "to2" float r.hi2 in
+      let buffer = opt o "buffer" float r.buffer in
+      let coarse = opt o "coarse" int r.coarse in
+      let levels = opt o "levels" int r.levels in
+      Compute
+        (Tasks.Region
+           { param; lo; hi; param2; lo2; hi2; buffer; coarse; levels })
+  | Compute (Tasks.Batch r) ->
+      tag o "batch";
+      let spec = req o "spec" spec r.spec in
+      let chunk = opt o "chunk" int r.chunk in
+      let as_json = opt o "json" bool r.as_json in
+      Compute (Tasks.Batch { spec; chunk; as_json })
+  | Stats -> tag o "stats"; Stats
+  | Subscribe -> tag o "subscribe"; Subscribe
+  | Cancel target -> tag o "cancel"; Cancel (req o "target" int target)
+  | Shutdown -> tag o "shutdown"; Shutdown
+
+let request_codec =
+  record "request" { id = 0; command = Stats } (fun o r ->
+      let id = id o r.id in
+      { id; command = cases o (fun () -> commands) command r.command })
+
+let parse_request line = decode request_codec line
+let of_json j = of_json request_codec j
+let encode_request ~id command = encode request_codec { id; command } ^ "\n"
+
+(* ---------- responses ---------- *)
+
+let metrics = assoc float
+
+let response_codec =
+  variant "response"
+    (fun () ->
+      [
+        Queued { id = 0; key = "" };
+        Result { id = 0; warm = false; dedup = false; payload = "" };
+        Error { id = 0; message = "" };
+        Cancelled { id = 0 };
+        Stats_reply { id = 0; metrics = [] };
+        Subscribed { id = 0 };
+        Bye { id = 0 };
+        Progress { key = ""; state = ""; queue_depth = 0 };
+        Telemetry { metrics = [] };
+      ])
+    (fun o r ->
+      let event = tag ~field:"event" o in
+      match r with
+      | Queued r ->
+          let id = id o r.id in
+          event "queued";
+          Queued { id; key = req o "key" string r.key }
+      | Result r ->
+          let id = id o r.id in
+          event "result";
+          let warm = opt o "warm" bool r.warm in
+          let dedup = opt o "dedup" bool r.dedup in
+          let payload = req o "payload" string r.payload in
+          Result { id; warm; dedup; payload }
+      | Error r ->
+          let id = id o r.id in
+          event "error";
+          Error { id; message = req o "message" string r.message }
+      | Cancelled r ->
+          let id = id o r.id in
+          event "cancelled";
+          Cancelled { id }
+      | Stats_reply r ->
+          let id = id o r.id in
+          event "stats";
+          Stats_reply { id; metrics = req o "metrics" metrics r.metrics }
+      | Subscribed r ->
+          let id = id o r.id in
+          event "subscribed";
+          Subscribed { id }
+      | Bye r ->
+          let id = id o r.id in
+          event "bye";
+          Bye { id }
+      | Progress r ->
+          event "progress";
+          let key = req o "key" string r.key in
+          let state = req o "state" string r.state in
+          let queue_depth = req o "queue_depth" int r.queue_depth in
+          Progress { key; state; queue_depth }
+      | Telemetry r ->
+          event "telemetry";
+          Telemetry { metrics = req o "metrics" metrics r.metrics })
+
+let encode_response r = encode response_codec r ^ "\n"
+let parse_response line = decode response_codec line

@@ -31,9 +31,10 @@
               {"event": "telemetry", "metrics": {...}}
     v}
 
-    Both sides parse with {!Simnet.Json_read} and emit with
-    {!Telemetry.Json} — the same machinery as the canonical scenario
-    codec, same strictness (unknown fields are errors). *)
+    Requests and responses are each declared once on
+    {!Simnet.Json_read}'s codec — the same machinery and strictness as
+    the canonical scenario codec (unknown fields are errors) — and both
+    directions derive from that one declaration. *)
 
 type command =
   | Compute of Tasks.request
@@ -47,7 +48,11 @@ type request = { id : int; command : command }
 val parse_request : string -> (request, string) result
 (** One request line (without the newline). A [run] request's
     [scenario] field is decoded by {!Simnet.Scenario.of_json} — the
-    canonical codec, same error messages. *)
+    canonical codec, same error messages. Never raises: malformed input
+    of any shape is an [Error]. *)
+
+val of_json : Simnet.Json_read.t -> (request, string) result
+(** {!parse_request} from an already-parsed document. *)
 
 (** {1 Request encoding (client side)} *)
 
@@ -72,3 +77,4 @@ val encode_response : response -> string
     metrics render as a JSON object in insertion order. *)
 
 val parse_response : string -> (response, string) result
+(** Never raises, like {!parse_request}. *)

@@ -273,6 +273,38 @@ let test_batch_fabric () =
                 (metric "serve.executed" m);
               Serve.Client.shutdown c ~id:5)))
 
+(* ---------------- malformed lines ---------------- *)
+
+(* A malformed line costs its sender one parse-error reply: the daemon
+   stays up for that connection and for every other. *)
+let test_malformed_lines () =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let socket = Filename.concat dir "serve.sock" in
+      let store = Filename.concat dir "store" in
+      with_daemon ~socket ~store ~jobs:1 (fun _pid ->
+          with_client ~socket (fun bad ->
+              let lines =
+                [ "{}"; "42"; "[]"; "{\"id\": 1.5, \"kind\": \"stats\"}" ]
+              in
+              Serve.Client.send_raw bad (String.concat "\n" lines ^ "\n");
+              List.iter
+                (fun line ->
+                  match Serve.Client.next bad with
+                  | Serve.Protocol.Error { message; _ }
+                    when String.starts_with ~prefix:"parse error" message ->
+                      ()
+                  | _ -> Alcotest.failf "%s: expected a parse error" line)
+                lines;
+              with_client ~socket (fun c ->
+                  let m = Serve.Client.stats c ~id:1 in
+                  Alcotest.(check int)
+                    "second connection answered" 0
+                    (metric "serve.executed" m));
+              Serve.Client.shutdown bad ~id:2)))
+
 let () =
   Alcotest.run "serve"
     [
@@ -288,5 +320,7 @@ let () =
             test_jobs_identity;
           Alcotest.test_case "batch: fabric-backed, chunk-independent" `Quick
             test_batch_fabric;
+          Alcotest.test_case "malformed lines: parse errors, daemon up" `Quick
+            test_malformed_lines;
         ] );
     ]

@@ -242,6 +242,19 @@ let test_decode_rejects () =
     "{\"v\": 1, \"t_end\": -1.0, \"model\": {\"kind\": \"bcn\"}, \"params\": \
      {\"n_flows\": 1, \"capacity\": 1e9, \"q0\": 1e5, \"buffer\": 5e6, \
      \"gi\": 1.0, \"gd\": 4.0, \"ru\": 1e6}}";
+  (* a non-finite parameter would encode as the non-JSON token inf *)
+  rejects "w = 1e400"
+    "{\"v\": 1, \"model\": {\"kind\": \"bcn\"}, \"params\": {\"n_flows\": \
+     1, \"capacity\": 1e9, \"w\": 1e400, \"q0\": 1e5, \"buffer\": 5e6, \
+     \"gi\": 1.0, \"gd\": 4.0, \"ru\": 1e6}}";
+  rejects "mu = 1e400"
+    "{\"v\": 1, \"model\": {\"kind\": \"bcn\"}, \"params\": {\"n_flows\": \
+     1, \"capacity\": 1e9, \"q0\": 1e5, \"buffer\": 5e6, \"gi\": 1.0, \
+     \"gd\": 4.0, \"ru\": 1e6, \"mu\": 1e400}}";
+  (match Fluid.Params.make ~mu:infinity ~n_flows:1 ~capacity:1e9 ~q0:1e5
+           ~buffer:5e6 ~gi:1. ~gd:4. ~ru:1e6 () with
+  | _ -> Alcotest.fail "Params.make accepted mu = infinity"
+  | exception Invalid_argument _ -> ());
   (* hop B must be the tighter one, or the run would fail mid-way *)
   rejects "multihop c_b > c_a"
     "{\"v\": 1, \"model\": {\"kind\": \"multihop\", \"c_a\": 1e9, \
