@@ -11,7 +11,7 @@
      bcn_fabric smoke                                 # CI
 
    Workers coordinate through the store alone: the manifest names the
-   points, lease files (O_CREAT|O_EXCL) assign contiguous ranges,
+   points, lease files (exclusive links) assign contiguous ranges,
    heartbeats keep them, expired leases are stolen. Any number of
    workers may join or leave mid-sweep; the merge reads the store in
    manifest order, so its bytes are identical for any worker history. *)

@@ -3,7 +3,7 @@
 
    A worker is a plain process (or an in-process call) sharing one
    store with its peers. All coordination is the store directory:
-   lease claims are O_EXCL file creations (Store.Lease), results are
+   lease claims are exclusive file links (Store.Lease), results are
    content-addressed entries, completion markers are .done files. A
    worker therefore needs no channel to its peers, may join or leave
    at any time, and [run] returning means the *sweep* is complete —
@@ -129,26 +129,40 @@ let run ?(jobs = 1) ?(chunk = 16) ?(ttl = 30.) ?(poll = 0.05) ?on_event
             progress := true
           end)
         ranges;
-      (* steal pass: ranges still leased by peers whose beat went stale *)
+      (* steal pass: ranges still leased by peers whose beat went
+         stale, or whose lease file does not parse (which counts as
+         expired); a slot vacated since the claim pass is claimed here *)
       let now = Unix.gettimeofday () in
       Array.iteri
         (fun range (lo, hi) ->
           if not (Lease.is_done cache ~sweep ~range) then
-            match Lease.read cache ~sweep ~range with
-            | Some info
-              when info.Lease.worker <> worker
-                   && Lease.expired ~ttl ~now info ->
-                emit Telemetry.Event.Lease_expired
-                  ~a:(now -. info.Lease.beat) ~b:0. ~range;
-                if Lease.steal cache ~sweep ~range ~lo ~hi ~worker ~ttl ~now
-                then begin
-                  emit Telemetry.Event.Lease_stolen ~a:(float_of_int lo)
-                    ~b:(float_of_int hi) ~range;
-                  incr stolen;
-                  ignore (execute_range pool range (lo, hi));
-                  progress := true
-                end
-            | _ -> ())
+            let stealable =
+              match Lease.read cache ~sweep ~range with
+              | Some info
+                when info.Lease.worker = worker
+                     || not (Lease.expired ~ttl ~now info) ->
+                  false
+              | Some info ->
+                  emit Telemetry.Event.Lease_expired
+                    ~a:(now -. info.Lease.beat) ~b:0. ~range;
+                  true
+              | None -> true
+            in
+            if
+              stealable
+              && Lease.steal cache ~sweep ~range ~lo ~hi ~worker ~ttl ~now
+            then begin
+              if Lease.is_done cache ~sweep ~range then
+                (* a peer finished it between our check and the steal *)
+                Lease.release cache ~sweep ~range
+              else begin
+                emit Telemetry.Event.Lease_stolen ~a:(float_of_int lo)
+                  ~b:(float_of_int hi) ~range;
+                incr stolen;
+                ignore (execute_range pool range (lo, hi))
+              end;
+              progress := true
+            end)
         ranges;
       if all_done () then continue := false
       else if not !progress then

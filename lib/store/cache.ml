@@ -1,5 +1,4 @@
 let format_stamp = "dcecc-store v1\n"
-let entry_magic = "dcecc1 "
 
 type stats = { hits : int; misses : int; puts : int; evictions : int }
 
@@ -13,51 +12,32 @@ type t = {
   index : Index.t;
 }
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Sys.mkdir dir 0o755
-    with Sys_error _ when Sys.is_directory dir -> ()
-  end
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path contents =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc contents)
-
 let open_ ~dir =
-  mkdir_p dir;
+  Disk.ensure_dir dir;
   let format_path = Filename.concat dir "format" in
-  if Sys.file_exists format_path then begin
-    let stamp = read_file format_path in
-    if stamp <> format_stamp then
-      failwith
-        (Printf.sprintf
-           "Store.Cache.open_: %s is not a dcecc store (format stamp %S)" dir
-           stamp)
-  end
-  else begin
-    (* an existing non-empty directory without a stamp is someone
-       else's data — refuse rather than mix object files into it *)
-    if Sys.readdir dir <> [||] then
-      failwith
-        (Printf.sprintf
-           "Store.Cache.open_: %s exists, is not empty and has no store \
-            format stamp"
-           dir);
-    write_file format_path format_stamp
-  end;
-  mkdir_p (Filename.concat dir "objects");
-  mkdir_p (Filename.concat dir "manifests");
-  mkdir_p (Filename.concat dir "tmp");
+  let fresh =
+    match Disk.read format_path with
+    | Some stamp when stamp = format_stamp -> false
+    | Some stamp ->
+        failwith
+          (Printf.sprintf
+             "Store.Cache.open_: %s is not a dcecc store (format stamp %S)" dir
+             stamp)
+    | None ->
+        (* an existing non-empty directory without a stamp is someone
+           else's data — refuse rather than mix object files into it *)
+        if Sys.readdir dir <> [||] then
+          failwith
+            (Printf.sprintf
+               "Store.Cache.open_: %s exists, is not empty and has no store \
+                format stamp"
+               dir);
+        true
+  in
+  List.iter
+    (fun sub -> Disk.ensure_dir (Filename.concat dir sub))
+    [ "tmp"; "objects"; "manifests" ];
+  if fresh then ignore (Disk.publish ~root:dir format_path format_stamp);
   {
     root = dir;
     hits = Atomic.make 0;
@@ -70,31 +50,15 @@ let open_ ~dir =
 
 let root c = c.root
 
-let entry_path c key =
-  let hex = Key.to_hex key in
-  Filename.concat
-    (Filename.concat (Filename.concat c.root "objects") (String.sub hex 0 2))
-    hex
-
+let entry_path c key = Disk.object_file ~root:c.root key
 let mem c key = Sys.file_exists (entry_path c key)
 
-(* unique within the store: pid for cross-process, domain id for pool
-   workers sharing the process *)
-let tmp_path c key =
-  Filename.concat
-    (Filename.concat c.root "tmp")
-    (Printf.sprintf "%s.%d.%d" (Key.to_hex key) (Unix.getpid ())
-       (Domain.self () :> int))
-
 let put c key payload =
-  let header = entry_magic ^ Key.sha256_hex payload ^ "\n" in
   let path = entry_path c key in
-  mkdir_p (Filename.dirname path);
-  let tmp = tmp_path c key in
-  write_file tmp (header ^ payload);
-  Sys.rename tmp path;
-  Index.record_add c.index (Key.to_hex key)
-    (String.length header + String.length payload);
+  Disk.ensure_dir (Filename.dirname path);
+  let entry = Disk.encode_entry payload in
+  ignore (Disk.publish ~root:c.root path entry);
+  Index.record_add c.index (Key.to_hex key) (String.length entry);
   Atomic.incr c.put_count
 
 let evict c key =
@@ -102,40 +66,17 @@ let evict c key =
   Index.record_remove c.index (Key.to_hex key);
   Atomic.incr c.evictions
 
-(* header is "dcecc1 " (7) + 64 hex + "\n" = 72 bytes *)
-let header_len = 72
-
 let find c key =
-  let path = entry_path c key in
-  if not (Sys.file_exists path) then begin
-    Atomic.incr c.misses;
-    None
-  end
-  else
-    let raw = read_file path in
-    let ok =
-      String.length raw >= header_len
-      && String.sub raw 0 (String.length entry_magic) = entry_magic
-      && raw.[header_len - 1] = '\n'
-    in
-    if not ok then begin
-      evict c key;
-      Atomic.incr c.misses;
-      None
-    end
-    else begin
-      let recorded = String.sub raw (String.length entry_magic) 64 in
-      let payload = String.sub raw header_len (String.length raw - header_len) in
-      if Key.sha256_hex payload = recorded then begin
-        Atomic.incr c.hits;
-        Some payload
-      end
-      else begin
-        evict c key;
-        Atomic.incr c.misses;
-        None
-      end
-    end
+  let found =
+    match Disk.read (entry_path c key) with
+    | None -> None
+    | Some raw ->
+        let payload = Disk.decode_entry raw in
+        if Option.is_none payload then evict c key;
+        payload
+  in
+  Atomic.incr (if Option.is_none found then c.misses else c.hits);
+  found
 
 let find_value (type a) c key : a option =
   match find c key with

@@ -7,7 +7,7 @@
     <root>/manifests/<key>     sweep manifests (see {!Manifest})
     <root>/leases/<key>/       fabric work leases (see {!Lease})
     <root>/index.jnl           append-only object index (see {!Index})
-    <root>/tmp/                in-flight writes, renamed into place
+    <root>/tmp/                every write, staged, then renamed or linked
     v}
 
     Every entry embeds the SHA-256 of its payload in the header;

@@ -18,68 +18,26 @@ type report = {
   stale_index : int;
 }
 
-let hex_ok h =
-  String.length h = 64
-  && String.for_all
-       (function 'a' .. 'f' | '0' .. '9' -> true | _ -> false)
-       h
-
-let object_path cache hex =
-  Filename.concat
-    (Filename.concat
-       (Filename.concat (Cache.root cache) "objects")
-       (String.sub hex 0 2))
-    hex
-
-let collect_objects cache =
-  let objects = Filename.concat (Cache.root cache) "objects" in
-  if not (Sys.file_exists objects) then [||]
-  else begin
-    let acc = ref [] in
-    Array.iter
-      (fun sub ->
-        let d = Filename.concat objects sub in
-        if Sys.is_directory d then
-          Array.iter
-            (fun name -> if hex_ok name then acc := name :: !acc)
-            (Sys.readdir d))
-      (Sys.readdir objects);
-    (* deterministic verification order regardless of readdir order *)
-    let arr = Array.of_list !acc in
-    Array.sort compare arr;
-    arr
-  end
-
 type verdict = Sound of int | Corrupt | Vanished
 
-(* Mirrors the integrity check of [Cache.find], minus counters and
-   eviction — fsck decides centrally what to do with failures. *)
-let verify cache hex =
-  match open_in_bin (object_path cache hex) with
-  | exception Sys_error _ -> Vanished
-  | ic ->
-      let raw =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      let header_len = 72 in
-      let magic = "dcecc1 " in
-      if
-        String.length raw >= header_len
-        && String.sub raw 0 (String.length magic) = magic
-        && raw.[header_len - 1] = '\n'
-        && Key.sha256_hex
-             (String.sub raw header_len (String.length raw - header_len))
-           = String.sub raw (String.length magic) 64
-      then Sound (String.length raw)
+(* The integrity check of [Cache.find], minus counters and eviction —
+   fsck decides centrally what to do with failures. *)
+let verify path =
+  match Disk.read path with
+  | None -> Vanished
+  | Some raw ->
+      if Option.is_some (Disk.decode_entry raw) then Sound (String.length raw)
       else Corrupt
 
 let run ?jobs ?(evict = true) cache =
-  let hexes = collect_objects cache in
+  let objects = ref [] in
+  Disk.iter_objects ~root:(Cache.root cache) (fun key path ->
+      objects := (key, path) :: !objects);
+  (* deterministic verification order regardless of readdir order *)
+  let objects = Array.of_list (List.sort compare !objects) in
   let verdicts =
     Parallel.Pool.with_pool ?size:jobs (fun pool ->
-        Parallel.Pool.parmap_array pool (fun hex -> verify cache hex) hexes)
+        Parallel.Pool.parmap_array pool (fun (_, path) -> verify path) objects)
   in
   let ix = Cache.index cache in
   Index.refresh ix;
@@ -87,10 +45,11 @@ let run ?jobs ?(evict = true) cache =
   and corrupt = ref 0
   and evicted = ref 0
   and missing_index = ref 0 in
-  let live = Hashtbl.create (max 16 (Array.length hexes)) in
+  let live = Hashtbl.create (max 16 (Array.length objects)) in
   Array.iteri
     (fun i verdict ->
-      let hex = hexes.(i) in
+      let key, _ = objects.(i) in
+      let hex = Key.to_hex key in
       match verdict with
       | Sound size ->
           incr ok;
@@ -102,11 +61,7 @@ let run ?jobs ?(evict = true) cache =
       | Corrupt ->
           incr corrupt;
           if evict then begin
-            (match Key.of_hex hex with
-            | Some key -> Cache.evict cache key
-            | None ->
-                (try Sys.remove (object_path cache hex) with Sys_error _ -> ());
-                Index.record_remove ix hex);
+            Cache.evict cache key;
             incr evicted
           end
           else Hashtbl.replace live hex ()
@@ -123,7 +78,7 @@ let run ?jobs ?(evict = true) cache =
     (Index.keys ix);
   Index.compact ix;
   {
-    checked = Array.length hexes;
+    checked = Array.length objects;
     ok = !ok;
     corrupt = !corrupt;
     evicted = !evicted;

@@ -24,12 +24,6 @@ type report = {
   tmp_removed : int;
 }
 
-let hex_ok h =
-  String.length h = 64
-  && String.for_all
-       (function 'a' .. 'f' | '0' .. '9' -> true | _ -> false)
-       h
-
 let roots cache =
   let set = Hashtbl.create 4096 in
   List.iter
@@ -40,7 +34,7 @@ let roots cache =
     (Manifest.list cache);
   set
 
-(* stale tmp files: in-flight writes whose writer died before rename.
+(* stale tmp files: staged writes whose writer died before publishing.
    Same age guard — a live writer's tmp file is younger than it. *)
 let sweep_tmp cache ~cutoff =
   let dir = Filename.concat (Cache.root cache) "tmp" in
@@ -65,42 +59,30 @@ let run ?(dry_run = false) ?(min_age = 0.) cache =
   and live = ref 0
   and collected = ref 0
   and collected_bytes = ref 0 in
-  let objects = Filename.concat (Cache.root cache) "objects" in
-  if Sys.file_exists objects then
-    Array.iter
-      (fun sub ->
-        let d = Filename.concat objects sub in
-        if Sys.is_directory d then
-          Array.iter
-            (fun name ->
-              if hex_ok name then begin
-                incr scanned;
-                if Hashtbl.mem live_set name then incr live
-                else
-                  let path = Filename.concat d name in
-                  match Unix.stat path with
-                  | exception Unix.Unix_error _ -> incr live
-                  | { Unix.st_mtime; st_size; _ } ->
-                      if st_mtime >= cutoff then
-                        (* generation guard: written during or near this
-                           GC — a concurrent writer's object whose
-                           manifest we may not have seen *)
-                        incr live
-                      else if dry_run then begin
-                        incr collected;
-                        collected_bytes := !collected_bytes + st_size
-                      end
-                      else begin
-                        (match Sys.remove path with
-                        | () ->
-                            incr collected;
-                            collected_bytes := !collected_bytes + st_size;
-                            Index.record_remove (Cache.index cache) name
-                        | exception Sys_error _ -> incr live)
-                      end
-              end)
-            (Sys.readdir d))
-      (Sys.readdir objects);
+  Disk.iter_objects ~root:(Cache.root cache) (fun key path ->
+      let hex = Key.to_hex key in
+      incr scanned;
+      if Hashtbl.mem live_set hex then incr live
+      else
+        match Unix.stat path with
+        | exception Unix.Unix_error _ -> incr live
+        | { Unix.st_mtime; st_size; _ } ->
+            if st_mtime >= cutoff then
+              (* generation guard: written during or near this GC — a
+                 concurrent writer's object whose manifest we may not
+                 have seen *)
+              incr live
+            else if dry_run then begin
+              incr collected;
+              collected_bytes := !collected_bytes + st_size
+            end
+            else (
+              match Sys.remove path with
+              | () ->
+                  incr collected;
+                  collected_bytes := !collected_bytes + st_size;
+                  Index.record_remove (Cache.index cache) hex
+              | exception Sys_error _ -> incr live));
   let tmp_removed = if dry_run then 0 else sweep_tmp cache ~cutoff in
   if not dry_run then begin
     Cache.add_gc_collected cache !collected;

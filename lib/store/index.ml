@@ -33,12 +33,6 @@ type t = {
 
 let journal_path root = Filename.concat root "index.jnl"
 
-let hex_ok h =
-  String.length h = 64
-  && String.for_all
-       (function 'a' .. 'f' | '0' .. '9' -> true | _ -> false)
-       h
-
 (* Replay journal lines from [buf]; returns bytes consumed (complete
    lines only). A malformed complete line aborts the replay by raising
    — the caller falls back to a rebuild. *)
@@ -63,12 +57,12 @@ let apply_line t line =
   let fail () = raise Malformed in
   match String.split_on_char ' ' line with
   | [ "+"; hex; size ] -> (
-      if not (hex_ok hex) then fail ();
+      if Option.is_none (Key.of_hex hex) then fail ();
       match int_of_string_opt size with
       | Some s when s >= 0 -> set_entry t hex s
       | Some _ | None -> fail ())
   | [ "-"; hex ] ->
-      if not (hex_ok hex) then fail ();
+      if Option.is_none (Key.of_hex hex) then fail ();
       ignore (drop_entry t hex)
   | _ -> fail ()
 
@@ -81,39 +75,6 @@ let replay t buf start =
         go (nl + 1)
   in
   go start
-
-let read_from path off =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let len = in_channel_length ic in
-          if len < off then None
-          else begin
-            seek_in ic off;
-            Some (really_input_string ic (len - off))
-          end)
-
-(* ---------- rebuild from the object tree ---------- *)
-
-let scan_objects root f =
-  let objects = Filename.concat root "objects" in
-  if Sys.file_exists objects then
-    Array.iter
-      (fun sub ->
-        let d = Filename.concat objects sub in
-        if Sys.is_directory d then
-          Array.iter
-            (fun name ->
-              if hex_ok name then
-                let path = Filename.concat d name in
-                match Unix.stat path with
-                | { Unix.st_size; _ } -> f name st_size
-                | exception Unix.Unix_error _ -> ())
-            (Sys.readdir d))
-      (Sys.readdir objects)
 
 (* Writing the journal image is tmp+rename atomic; [consumed] is set to
    the byte length of what we wrote so a subsequent [refresh] picks up
@@ -128,27 +89,26 @@ let write_image t =
     (fun (hex, size) -> Buffer.add_string buf (Printf.sprintf "+ %s %d\n" hex size))
     (List.sort compare entries);
   let image = Buffer.contents buf in
-  let target = journal_path t.root in
-  let tmp =
-    Printf.sprintf "%s.%d.%d" target (Unix.getpid ()) (Domain.self () :> int)
-  in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc image);
-  Sys.rename tmp target;
-  (* the append fd (if any) now points at the replaced inode; drop it *)
-  (match t.append_fd with
-  | Some fd ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      t.append_fd <- None
-  | None -> ());
-  t.consumed <- String.length image
+  (* advisory: if the image cannot be published (the journal path is a
+     directory, say) the table stays right and a later load rebuilds *)
+  match Disk.publish ~root:t.root (journal_path t.root) image with
+  | exception Sys_error _ -> ()
+  | _ ->
+      (* the append fd (if any) now points at the replaced inode; drop it *)
+      (match t.append_fd with
+      | Some fd ->
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          t.append_fd <- None
+      | None -> ());
+      t.consumed <- String.length image
 
 let rebuild_locked t =
   Hashtbl.reset t.tbl;
   t.total <- 0;
-  scan_objects t.root (fun hex size -> set_entry t hex size);
+  Disk.iter_objects ~root:t.root (fun key path ->
+      match Unix.stat path with
+      | { Unix.st_size; _ } -> set_entry t (Key.to_hex key) st_size
+      | exception Unix.Unix_error _ -> ());
   write_image t
 
 (* ---------- load / refresh ---------- *)
@@ -157,7 +117,7 @@ let load_locked t =
   Hashtbl.reset t.tbl;
   t.total <- 0;
   t.consumed <- 0;
-  match read_from (journal_path t.root) 0 with
+  match Disk.read (journal_path t.root) with
   | None -> rebuild_locked t
   | Some buf -> (
       let m = String.length journal_magic in
@@ -175,7 +135,7 @@ let refresh_locked t =
   | size ->
       if size < t.consumed then load_locked t (* compacted underneath us *)
       else if size > t.consumed then (
-        match read_from path t.consumed with
+        match Disk.read ~off:t.consumed path with
         | None -> load_locked t
         | Some buf -> (
             match replay t buf 0 with

@@ -4,14 +4,15 @@
    One sweep (identified by its manifest key) owns a directory
    [<root>/leases/<sweep-hex>/]; each contiguous point range of the
    manifest is one lease slot [rNNNNNN.lease] plus a completion marker
-   [rNNNNNN.done]. Claims go through [O_CREAT|O_EXCL] — the one
-   filesystem operation that is atomic across processes and (over NFS3+)
-   across hosts sharing the directory — so exactly one worker wins a
-   free slot. Heartbeats rewrite the lease file (tmp+rename) with a
-   fresh wall-clock stamp; a lease whose stamp is older than the TTL is
-   presumed dead and may be stolen: unlink + re-claim, where the
-   re-claim's O_EXCL again elects exactly one winner among racing
-   stealers.
+   [rNNNNNN.done]. A claim stages a complete lease file and [link]s it
+   into the slot — atomic across processes and (over NFS3+) across
+   hosts sharing the directory, and failing on an existing slot like an
+   exclusive create — so exactly one worker wins a free slot and no
+   reader ever sees a torn lease. Heartbeats rewrite the lease file
+   (tmp+rename) with a fresh wall-clock stamp; a lease whose stamp is
+   older than the TTL, or whose file does not parse, is presumed dead
+   and may be stolen: unlink + re-claim, where the re-claim's link again
+   elects exactly one winner among racing stealers.
 
    The protocol is deliberately only *mostly* exclusive: a worker that
    stalls (not dies) past the TTL can lose its lease yet keep
@@ -37,14 +38,6 @@ let lease_path cache sweep range =
 let done_path cache sweep range =
   Filename.concat (sweep_dir cache sweep) (Printf.sprintf "r%06d.done" range)
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    let parent = Filename.dirname dir in
-    if parent <> dir then mkdir_p parent;
-    try Sys.mkdir dir 0o755
-    with Sys_error _ when Sys.is_directory dir -> ()
-  end
-
 let body ~worker ~lo ~hi ~beat =
   Printf.sprintf "%s\nworker %s\nrange %d %d\nbeat %.6f\n" magic worker lo hi
     beat
@@ -57,78 +50,48 @@ let check_worker worker =
     || String.exists (function '\n' | '\r' -> true | _ -> false) worker
   then invalid_arg "Store.Lease: worker id must be non-empty, newline-free"
 
-let claim cache ~sweep ~range ~lo ~hi ~worker =
+(* Every lease write is a whole-file publish, so no reader ever sees a
+   torn lease: [claim] links (fails on an existing slot), [heartbeat]
+   renames. *)
+let write ?exclusive cache ~sweep ~range ~lo ~hi ~worker =
   check_worker worker;
-  mkdir_p (sweep_dir cache sweep);
-  let path = lease_path cache sweep range in
-  match Unix.openfile path [ O_WRONLY; O_CREAT; O_EXCL ] 0o644 with
-  | fd ->
-      let s = body ~worker ~lo ~hi ~beat:(Unix.gettimeofday ()) in
-      let rec w off =
-        if off < String.length s then
-          w (off + Unix.write_substring fd s off (String.length s - off))
-      in
-      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> w 0);
-      true
-  | exception Unix.Unix_error (EEXIST, _, _) -> false
+  Disk.ensure_dir (sweep_dir cache sweep);
+  Disk.publish ?exclusive ~root:(Cache.root cache)
+    (lease_path cache sweep range)
+    (body ~worker ~lo ~hi ~beat:(Unix.gettimeofday ()))
 
-let read cache ~sweep ~range =
-  let path = lease_path cache sweep range in
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic -> (
-      let contents =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      match String.split_on_char '\n' contents with
-      | m :: worker_l :: range_l :: beat_l :: _ when m = magic -> (
-          let strip prefix l =
-            let p = prefix ^ " " in
-            if
-              String.length l > String.length p
-              && String.sub l 0 (String.length p) = p
-            then
-              Some (String.sub l (String.length p) (String.length l - String.length p))
-            else if String.length l >= String.length p && prefix = "worker"
-            then
-              (* an empty worker id never passes [claim]; be strict *)
-              None
-            else None
-          in
-          match
-            ( strip "worker" worker_l,
-              strip "range" range_l,
-              strip "beat" beat_l )
-          with
-          | Some worker, Some range_s, Some beat_s -> (
-              match
-                ( String.split_on_char ' ' range_s,
-                  float_of_string_opt beat_s )
-              with
-              | [ lo_s; hi_s ], Some beat -> (
-                  match (int_of_string_opt lo_s, int_of_string_opt hi_s) with
-                  | Some lo, Some hi -> Some { worker; lo; hi; beat }
-                  | _ -> None)
-              | _ -> None)
+let claim = write ~exclusive:true
+
+let heartbeat cache ~sweep ~range ~worker ~lo ~hi =
+  ignore (write cache ~sweep ~range ~lo ~hi ~worker)
+
+(* [None] unless every field is well formed: a finite beat, and a range
+   with [0 <= lo <= hi] *)
+let parse contents =
+  let field name line =
+    let prefix = name ^ " " in
+    let n = String.length prefix in
+    if String.length line > n && String.starts_with ~prefix line then
+      Some (String.sub line n (String.length line - n))
+    else None
+  in
+  match String.split_on_char '\n' contents with
+  | m :: worker_l :: range_l :: beat_l :: _ when m = magic -> (
+      match
+        ( field "worker" worker_l,
+          Option.map (String.split_on_char ' ') (field "range" range_l),
+          Option.bind (field "beat" beat_l) float_of_string_opt )
+      with
+      | Some worker, Some [ lo; hi ], Some beat when Float.is_finite beat -> (
+          match (int_of_string_opt lo, int_of_string_opt hi) with
+          | Some lo, Some hi when 0 <= lo && lo <= hi ->
+              Some { worker; lo; hi; beat }
           | _ -> None)
       | _ -> None)
+  | _ -> None
 
-(* tmp+rename so a reader never sees a torn lease; unique tmp name per
-   process/domain like every other store write *)
-let heartbeat cache ~sweep ~range ~worker ~lo ~hi =
-  check_worker worker;
-  let target = lease_path cache sweep range in
-  let tmp =
-    Printf.sprintf "%s.%d.%d" target (Unix.getpid ()) (Domain.self () :> int)
-  in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (body ~worker ~lo ~hi ~beat:(Unix.gettimeofday ())));
-  Sys.rename tmp target
+let read cache ~sweep ~range =
+  Option.bind (Disk.read (lease_path cache sweep range)) parse
 
 let release cache ~sweep ~range =
   try Sys.remove (lease_path cache sweep range) with Sys_error _ -> ()
@@ -136,32 +99,27 @@ let release cache ~sweep ~range =
 let expired ~ttl ~now info = now -. info.beat > ttl
 
 let steal cache ~sweep ~range ~lo ~hi ~worker ~ttl ~now =
-  match read cache ~sweep ~range with
+  match Disk.read (lease_path cache sweep range) with
   | None ->
-      (* holder vanished between our claim failure and now *)
+      (* holder vanished between our claim failure and now; never
+         unlink here, or a peer's fresh claim could be lost *)
       claim cache ~sweep ~range ~lo ~hi ~worker
-  | Some info ->
-      if not (expired ~ttl ~now info) then false
-      else begin
-        (* unlink the corpse, then race for the empty slot; O_EXCL
-           elects one winner among concurrent stealers *)
-        release cache ~sweep ~range;
-        claim cache ~sweep ~range ~lo ~hi ~worker
-      end
+  | Some contents -> (
+      match parse contents with
+      | Some info when not (expired ~ttl ~now info) -> false
+      | Some _ | None ->
+          (* expired, or unparseable (which no writer here leaves
+             behind): unlink the corpse, then race for the empty slot;
+             the link elects one winner among concurrent stealers *)
+          release cache ~sweep ~range;
+          claim cache ~sweep ~range ~lo ~hi ~worker)
 
 let mark_done cache ~sweep ~range ~worker =
   check_worker worker;
-  mkdir_p (sweep_dir cache sweep);
-  let path = done_path cache sweep range in
-  match Unix.openfile path [ O_WRONLY; O_CREAT; O_EXCL ] 0o644 with
-  | fd ->
-      let s = worker ^ "\n" in
-      let rec w off =
-        if off < String.length s then
-          w (off + Unix.write_substring fd s off (String.length s - off))
-      in
-      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> w 0)
-  | exception Unix.Unix_error (EEXIST, _, _) -> ()
+  Disk.ensure_dir (sweep_dir cache sweep);
+  ignore
+    (Disk.publish ~exclusive:true ~root:(Cache.root cache)
+       (done_path cache sweep range) (worker ^ "\n"))
 
 let is_done cache ~sweep ~range = Sys.file_exists (done_path cache sweep range)
 
@@ -188,11 +146,10 @@ let list cache ~sweep =
              && name.[0] = 'r'
              && Filename.check_suffix name ".lease"
            then
-             match int_of_string_opt (String.sub name 1 6) with
-             | Some range -> (
-                 match read cache ~sweep ~range with
-                 | Some info -> Some (range, info)
-                 | None -> None)
-             | None -> None
+             Option.bind (int_of_string_opt (String.sub name 1 6))
+               (fun range ->
+                 Option.map
+                   (fun info -> (range, info))
+                   (read cache ~sweep ~range))
            else None)
     |> List.sort compare

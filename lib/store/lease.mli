@@ -3,9 +3,11 @@
     A sweep (identified by its manifest {!Key.t}) owns
     [<root>/leases/<sweep-hex>/]; each contiguous point range of the
     manifest is one slot [rNNNNNN.lease] plus a completion marker
-    [rNNNNNN.done]. The only synchronization primitive is
-    [O_CREAT|O_EXCL] — atomic across processes — so exactly one worker
-    wins a free slot, and exactly one stealer wins a vacated one.
+    [rNNNNNN.done]. The only synchronization primitive is an exclusive
+    [link] of a complete, staged lease file into the slot — atomic across
+    processes and failing on an existing slot — so exactly one worker
+    wins a free slot, exactly one stealer wins a vacated one, and no
+    reader ever sees a torn lease.
 
     The protocol is {e mostly} exclusive by design: a worker that
     stalls past the TTL can lose its lease while still executing, so
@@ -36,8 +38,10 @@ val claim :
     newline-containing worker id. *)
 
 val read : Cache.t -> sweep:Key.t -> range:int -> info option
-(** Current holder of a slot, or [None] when unclaimed (or the file is
-    torn/foreign — callers treat that as claimable). *)
+(** Current holder of a slot, or [None] when the slot is unclaimed or
+    its file does not parse (foreign bytes, a non-finite beat, a range
+    with [lo < 0] or [lo > hi]). {!claim} fails on such a file; {!steal}
+    treats it as an expired lease. Never raises. *)
 
 val heartbeat :
   Cache.t -> sweep:Key.t -> range:int -> worker:string -> lo:int -> hi:int -> unit
@@ -61,9 +65,10 @@ val steal :
   now:float ->
   bool
 (** Take over an expired lease: re-read the slot, and if the holder's
-    beat is older than [ttl], unlink and re-claim. The re-claim's
-    [O_EXCL] elects exactly one winner among concurrent stealers.
-    Returns [false] when the lease is live or another stealer won. *)
+    beat is older than [ttl] or the file does not parse, unlink and
+    re-claim; an absent file is just claimed. The re-claim's exclusive
+    link elects exactly one winner among concurrent stealers. Returns
+    [false] when the lease is live or another stealer won. *)
 
 val mark_done : Cache.t -> sweep:Key.t -> range:int -> worker:string -> unit
 (** Drop the completion marker for a range (idempotent — duplicate

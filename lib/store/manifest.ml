@@ -19,49 +19,31 @@ let save cache m =
       (magic :: Array.to_list (Array.map Key.to_hex m.points))
     ^ "\n"
   in
-  let target = path cache m.sweep_key in
-  let tmp =
-    Printf.sprintf "%s.%d.%d" target (Unix.getpid ()) (Domain.self () :> int)
-  in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc body);
-  Sys.rename tmp target
+  ignore (Disk.publish ~root:(Cache.root cache) (path cache m.sweep_key) body)
 
-let load cache key =
-  let file = path cache key in
-  if not (Sys.file_exists file) then None
-  else
-    let ic = open_in_bin file in
-    let body =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match String.split_on_char '\n' body with
-    | m :: rest when m = magic ->
-        let hexes = List.filter (fun l -> l <> "") rest in
-        let keys = List.filter_map Key.of_hex hexes in
-        if List.length keys <> List.length hexes then None
-        else
-          let m = { sweep_key = key; points = Array.of_list keys } in
-          (* a manifest is content-addressed too: its name must match
-             its points, else it was tampered with or misfiled *)
-          if Key.to_hex (create ~points:m.points).sweep_key = Key.to_hex key
-          then Some m
-          else None
-    | _ -> None
+let parse key body =
+  match String.split_on_char '\n' body with
+  | m :: rest when m = magic ->
+      let hexes = List.filter (fun l -> l <> "") rest in
+      let keys = List.filter_map Key.of_hex hexes in
+      if List.length keys <> List.length hexes then None
+      else
+        let m = { sweep_key = key; points = Array.of_list keys } in
+        (* a manifest is content-addressed too: its name must match
+           its points, else it was tampered with or misfiled *)
+        if Key.to_hex (create ~points:m.points).sweep_key = Key.to_hex key
+        then Some m
+        else None
+  | _ -> None
+
+let load cache key = Option.bind (Disk.read (path cache key)) (parse key)
 
 let list cache =
   let dir = Filename.concat (Cache.root cache) "manifests" in
   if not (Sys.file_exists dir) then []
   else
     Array.to_list (Sys.readdir dir)
-    |> List.filter_map (fun name ->
-           match Key.of_hex name with
-           | Some key -> load cache key
-           | None -> None)
+    |> List.filter_map (fun name -> Option.bind (Key.of_hex name) (load cache))
 
 let progress cache m =
   Array.fold_left

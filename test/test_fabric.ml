@@ -130,23 +130,88 @@ let test_lease_done_markers () =
       Alcotest.(check bool) "revoked" false (Lease.is_done c ~sweep ~range:0);
       Alcotest.(check int) "one marker left" 1 (Lease.dones c ~sweep))
 
+let lease_file c sweep =
+  Filename.concat
+    (Filename.concat
+       (Filename.concat (Cache.root c) "leases")
+       (Key.to_hex sweep))
+    "r000000.lease"
+
+let write_file path bytes =
+  Out_channel.with_open_bin path (fun oc -> output_string oc bytes)
+
+let lease_body ?(range = "0 3") ?(beat = "1.5") () =
+  Printf.sprintf "dcecc-lease v1\nworker w\nrange %s\nbeat %s\n" range beat
+
 let test_lease_torn_file () =
   with_store (fun c ->
       let sweep = Key.of_material "lease-torn" in
       ignore (Lease.claim c ~sweep ~range:0 ~lo:0 ~hi:3 ~worker:"w");
-      let path =
-        Filename.concat
-          (Filename.concat
-             (Filename.concat (Cache.root c) "leases")
-             (Key.to_hex sweep))
-          "r000000.lease"
-      in
-      let oc = open_out_bin path in
-      output_string oc "not a lease";
-      close_out oc;
+      write_file (lease_file c sweep) (lease_body ());
       Alcotest.(check bool)
-        "torn lease reads as None" true
-        (Lease.read c ~sweep ~range:0 = None))
+        "well-formed body reads" true
+        (Lease.read c ~sweep ~range:0 <> None);
+      List.iter
+        (fun body ->
+          write_file (lease_file c sweep) body;
+          Alcotest.(check bool)
+            (Printf.sprintf "torn lease %S reads as None" body)
+            true
+            (Lease.read c ~sweep ~range:0 = None))
+        [
+          "not a lease";
+          "";
+          lease_body ~beat:"nan" ();
+          lease_body ~beat:"inf" ();
+          lease_body ~beat:"1e400" ();
+          lease_body ~range:"3 1" ();
+          lease_body ~range:"-1 3" ();
+        ])
+
+let test_lease_path_is_directory () =
+  with_store (fun c ->
+      let sweep = Key.of_material "lease-dir" in
+      ignore (Lease.claim c ~sweep ~range:1 ~lo:4 ~hi:7 ~worker:"w");
+      Sys.mkdir (lease_file c sweep) 0o755;
+      Alcotest.(check bool) "read of a directory is None" true
+        (Lease.read c ~sweep ~range:0 = None);
+      Alcotest.(check (list int)) "list skips it" [ 1 ]
+        (List.map fst (Lease.list c ~sweep)))
+
+(* Every truncation and every single-bit flip of one valid lease file:
+   [read] never raises, and what it accepts is well formed. *)
+let test_lease_corpus () =
+  with_store (fun c ->
+      let sweep = Key.of_material "lease-corpus" in
+      ignore (Lease.claim c ~sweep ~range:0 ~lo:3 ~hi:9 ~worker:"w");
+      let path = lease_file c sweep in
+      let valid = In_channel.with_open_bin path In_channel.input_all in
+      let check bytes =
+        write_file path bytes;
+        match Lease.read c ~sweep ~range:0 with
+        | exception e ->
+            Alcotest.failf "lease %S raised %s" bytes (Printexc.to_string e)
+        | Some i
+          when (not (Float.is_finite i.Lease.beat))
+               || i.Lease.lo < 0
+               || i.Lease.lo > i.Lease.hi ->
+            Alcotest.failf "lease %S read as ill-formed info" bytes
+        | Some _ | None -> ()
+      in
+      for len = 0 to String.length valid - 1 do
+        check (String.sub valid 0 len)
+      done;
+      String.iteri
+        (fun pos _ ->
+          for bit = 0 to 7 do
+            check
+              (String.mapi
+                 (fun i ch ->
+                   if i = pos then Char.chr (Char.code ch lxor (1 lsl bit))
+                   else ch)
+                 valid)
+          done)
+        valid)
 
 let test_lease_worker_validation () =
   with_store (fun c ->
@@ -394,6 +459,53 @@ let test_sigkill_steal () =
         "rescued bytes = single-process bytes" (oracle_csv spec)
         (Merge.csv c spec))
 
+(* A lease file that does not parse counts as expired: a worker steals
+   it at once instead of waiting for a beat that never comes. The run
+   is forked under a deadline, so a worker that never finishes fails
+   the test rather than hanging it. *)
+let finishes_within seconds f =
+  match Unix.fork () with
+  | 0 -> (
+      match f () with
+      | () -> Unix._exit 0
+      | exception e ->
+          Printf.eprintf "worker died: %s\n%!" (Printexc.to_string e);
+          Unix._exit 1)
+  | pid ->
+      let deadline = Unix.gettimeofday () +. seconds in
+      let rec wait () =
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ when Unix.gettimeofday () < deadline ->
+            Unix.sleepf 0.01;
+            wait ()
+        | 0, _ ->
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid);
+            false
+        | _, status -> status = Unix.WEXITED 0
+      in
+      wait ()
+
+let test_torn_lease_stolen () =
+  List.iter
+    (fun body ->
+      with_store (fun c ->
+          let spec = tiny_spec 4 in
+          let sweep = sweep_of spec in
+          ignore (Lease.claim c ~sweep ~range:0 ~lo:0 ~hi:1 ~worker:"dead");
+          write_file (lease_file c sweep) body;
+          Alcotest.(check bool)
+            (Printf.sprintf "worker finishes past lease %S" body)
+            true
+            (finishes_within 10. (fun () ->
+                 let c = Cache.open_ ~dir:(Cache.root c) in
+                 let r = Worker.run ~chunk:2 ~ttl:30. ~poll:0.01 ~worker:"w" c spec in
+                 if r.Worker.ranges_stolen <> 1 then failwith "no steal"));
+          Alcotest.(check string)
+            "merged bytes = single-process bytes" (oracle_csv spec)
+            (Merge.csv c spec)))
+    [ ""; lease_body ~range:"0 1" ~beat:"nan" () ]
+
 (* ---------------- qcheck: arbitrary dead-claim patterns ----------------
 
    Model a kill schedule as its observable residue: some subset of
@@ -455,6 +567,10 @@ let () =
             test_lease_done_markers;
           Alcotest.test_case "torn lease file reads as unclaimed" `Quick
             test_lease_torn_file;
+          Alcotest.test_case "lease path is a directory" `Quick
+            test_lease_path_is_directory;
+          Alcotest.test_case "lease truncations and bit flips" `Quick
+            test_lease_corpus;
           Alcotest.test_case "worker id validation" `Quick
             test_lease_worker_validation;
         ] );
@@ -479,6 +595,8 @@ let () =
             test_two_workers_fork;
           Alcotest.test_case "SIGKILLed worker's lease is stolen" `Quick
             test_sigkill_steal;
+          Alcotest.test_case "unparseable lease is stolen at once" `Quick
+            test_torn_lease_stolen;
         ] );
       qsuite "kill-schedules" [ qcheck_kill_schedules ];
     ]

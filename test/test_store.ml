@@ -734,6 +734,122 @@ let test_fsck_index_repair () =
         (Cache.objects c);
       Alcotest.(check int) "exactly the surviving object" 1 (Cache.objects c))
 
+(* ---------------- Hostile files: readers never raise ---------------- *)
+
+let manifest_path root m =
+  Filename.concat (Filename.concat root "manifests")
+    (Key.to_hex m.Manifest.sweep_key)
+
+let write_file path bytes =
+  Out_channel.with_open_bin path (fun oc -> output_string oc bytes)
+
+(* every regular file under [dir], as paths relative to it *)
+let rec files_under dir rel =
+  Array.to_list (Sys.readdir (Filename.concat dir rel))
+  |> List.concat_map (fun name ->
+         let rel = if rel = "" then name else Filename.concat rel name in
+         if Sys.is_directory (Filename.concat dir rel) then files_under dir rel
+         else [ rel ])
+
+(* A save that fails at publish leaves no staged file anywhere GC
+   cannot reach: after an aged GC pass, nothing remains outside the
+   object tree, the manifests, the leases and the fixed names. *)
+let test_gc_staged_orphans () =
+  with_store (fun c ->
+      let root = Cache.root c in
+      let scenarios = sweep_scenarios () in
+      ignore (Sweep.sweep ~cache:c ~jobs:1 scenarios);
+      let blocked =
+        Manifest.create ~points:[| Key.of_material "gc-blocked" |]
+      in
+      Sys.mkdir (manifest_path root blocked) 0o755;
+      (match Manifest.save c blocked with
+      | () -> Alcotest.fail "save over a directory succeeded"
+      | exception Sys_error _ -> ());
+      Sys.rmdir (manifest_path root blocked);
+      List.iter
+        (fun rel -> age (Filename.concat root rel) 7200.)
+        (files_under root "");
+      ignore (Store_gc.run c);
+      let allowed rel =
+        match String.split_on_char '/' rel with
+        | [ ("format" | "index.jnl") ] -> true
+        | "objects" :: _ | "leases" :: _ -> true
+        | [ "manifests"; name ] -> Option.is_some (Key.of_hex name)
+        | _ -> false
+      in
+      Alcotest.(check (list string))
+        "no stray file after gc" []
+        (List.filter (fun rel -> not (allowed rel)) (files_under root ""));
+      Alcotest.(check int) "rooted points survive" (Array.length scenarios)
+        (Cache.entries c))
+
+let test_manifest_path_is_directory () =
+  with_store (fun c ->
+      let good = Manifest.create ~points:[| Key.of_material "dir-good" |] in
+      let bad = Manifest.create ~points:[| Key.of_material "dir-bad" |] in
+      Manifest.save c good;
+      Sys.mkdir (manifest_path (Cache.root c) bad) 0o755;
+      Alcotest.(check bool) "load of a directory is None" true
+        (Option.is_none (Manifest.load c bad.Manifest.sweep_key));
+      Alcotest.(check int) "list skips it" 1 (List.length (Manifest.list c)))
+
+let test_journal_is_directory () =
+  with_store (fun c ->
+      Cache.put c (Key.of_material "jdir-1") "a";
+      Cache.put c (Key.of_material "jdir-2") "bb";
+      let journal = Filename.concat (Cache.root c) "index.jnl" in
+      Sys.remove journal;
+      Sys.mkdir journal 0o755;
+      let c2 = Cache.open_ ~dir:(Cache.root c) in
+      Alcotest.(check int) "open rebuilds from the tree" (Cache.entries c2)
+        (Cache.objects c2);
+      Alcotest.(check int) "both objects" 2 (Cache.objects c2))
+
+(* Every truncation and every single-bit flip of one valid journal
+   (three puts). Opening and refreshing never raises. A flip anywhere
+   but the final newline either breaks the grammar (rebuild from the
+   tree) or renames a key, so the count matches the tree exactly. A
+   truncation, or a flip of the final newline, leaves a shorter valid
+   journal or a torn tail, which the advisory index cannot tell from a
+   journal written before the later puts: it may only under-count. *)
+let test_journal_corpus () =
+  with_store (fun c ->
+      Array.iter
+        (fun i -> Cache.put c (Key.of_material (Printf.sprintf "jc-%d" i)) "v")
+        [| 1; 2; 3 |];
+      let root = Cache.root c in
+      let journal = Filename.concat root "index.jnl" in
+      let valid = In_channel.with_open_bin journal In_channel.input_all in
+      let n = String.length valid in
+      let entries = Cache.entries c in
+      let objects bytes =
+        write_file journal bytes;
+        match Cache.objects (Cache.open_ ~dir:root) with
+        | k -> k
+        | exception e ->
+            Alcotest.failf "journal %S raised %s" bytes (Printexc.to_string e)
+      in
+      for len = 0 to n - 1 do
+        let k = objects (String.sub valid 0 len) in
+        if k > entries then
+          Alcotest.failf "truncation at %d over-counts: %d > %d" len k entries
+      done;
+      for pos = 0 to n - 1 do
+        for bit = 0 to 7 do
+          let flipped =
+            String.mapi
+              (fun i ch ->
+                if i = pos then Char.chr (Char.code ch lxor (1 lsl bit)) else ch)
+              valid
+          in
+          let k = objects flipped in
+          if (pos < n - 1 && k <> entries) || k > entries then
+            Alcotest.failf "flip of bit %d at byte %d: %d objects, tree has %d"
+              bit pos k entries
+        done
+      done)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -763,6 +879,8 @@ let () =
         Alcotest.test_case "corruption evicts + recomputes" `Quick
           test_cache_corruption_evicts;
         Alcotest.test_case "manifest" `Quick test_manifest;
+        Alcotest.test_case "manifest path is a directory" `Quick
+          test_manifest_path_is_directory;
       ]);
       ("sweep", [
         Alcotest.test_case "cold then warm" `Quick test_sweep_cold_then_warm;
@@ -788,10 +906,16 @@ let () =
           test_index_compact;
         Alcotest.test_case "progress_of_index = progress" `Quick
           test_progress_of_index;
+        Alcotest.test_case "journal path is a directory: open rebuilds"
+          `Quick test_journal_is_directory;
+        Alcotest.test_case "journal truncations and bit flips" `Quick
+          test_journal_corpus;
       ]);
       ("gc", [
         Alcotest.test_case "orphans collected, roots and guard kept" `Quick
           test_gc_orphans_and_roots;
+        Alcotest.test_case "failed publish leaves no stray file" `Quick
+          test_gc_staged_orphans;
       ]);
       ("fsck", [
         Alcotest.test_case "clean pass, corruption evicted" `Quick
