@@ -66,32 +66,40 @@ let evict c key =
   Index.record_remove c.index (Key.to_hex key);
   Atomic.incr c.evictions
 
-let find c key =
-  let found =
-    match Disk.read (entry_path c key) with
-    | None -> None
-    | Some raw ->
-        let payload = Disk.decode_entry raw in
-        if Option.is_none payload then evict c key;
-        payload
-  in
+(* The entry's bytes and the payload's offset in them. A corrupt entry
+   is evicted and reads as absent. *)
+let read_entry c key =
+  match Disk.read (entry_path c key) with
+  | None -> None
+  | Some raw -> (
+      match Disk.decode_entry raw with
+      | Some off -> Some (raw, off)
+      | None ->
+          evict c key;
+          None)
+
+let counted c found =
   Atomic.incr (if Option.is_none found then c.misses else c.hits);
   found
 
+let find c key =
+  counted c
+    (Option.map
+       (fun (raw, off) -> String.sub raw off (String.length raw - off))
+       (read_entry c key))
+
 let find_value (type a) c key : a option =
-  match find c key with
-  | None -> None
-  | Some payload -> (
-      match (Marshal.from_string payload 0 : a) with
-      | v -> Some v
-      | exception _ ->
-          (* hash-valid but undecodable: written by an incompatible
-             runtime; treat as corruption *)
-          evict c key;
-          (* the find above counted a hit for bytes we cannot use *)
-          Atomic.decr c.hits;
-          Atomic.incr c.misses;
-          None)
+  counted c
+    (match read_entry c key with
+    | None -> None
+    | Some (raw, off) -> (
+        match (Marshal.from_string raw off : a) with
+        | v -> Some v
+        | exception _ ->
+            (* check-valid but undecodable: written by an incompatible
+               runtime; treat as corruption *)
+            evict c key;
+            None))
 
 let store_value c key v = put c key (Marshal.to_string v [])
 

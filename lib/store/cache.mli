@@ -10,10 +10,12 @@
     <root>/tmp/                every write, staged, then renamed or linked
     v}
 
-    Every entry embeds the SHA-256 of its payload in the header;
-    {!find} re-hashes on read, and a mismatch (truncated write, bit
-    rot, manual tampering) {e evicts} the entry and reports a miss, so
-    corruption degrades to recomputation, never to wrong results.
+    Every entry's header carries its payload's length and a 64-bit
+    checksum of it (the entry's name, its key, already says which
+    result it holds); {!find} re-checks on read, and a mismatch
+    (truncated write, bit rot) {e evicts} the entry and reports a
+    miss, so corruption degrades to recomputation, never to wrong
+    results.
 
     Writes are atomic (unique temp file + [rename] on the same
     filesystem), so concurrent writers — pool domains or separate
@@ -49,12 +51,13 @@ val mem : t -> Key.t -> bool
 val evict : t -> Key.t -> unit
 (** Remove an entry (idempotent), keeping the index and the eviction
     counter in lockstep. {!find} calls this on integrity failure; fsck
-    calls it on entries whose payload hash no longer matches. *)
+    calls it on entries whose payload check no longer matches. *)
 
 (** {1 Typed entries (Marshal)} *)
 
 val find_value : t -> Key.t -> 'a option
-(** [Marshal] decode of {!find}. The caller owes the type annotation;
+(** [Marshal] decode of {!find}, read in place from the entry's bytes
+    without copying the payload out. The caller owes the type annotation;
     keys must therefore encode everything that determines the payload
     type — which scenario keys do. An undecodable payload evicts like
     corruption. *)

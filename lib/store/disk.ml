@@ -81,22 +81,59 @@ let iter_objects ~root f =
             (Sys.readdir d))
       (Sys.readdir objects)
 
-(* header is "dcecc1 " (7) + 64 hex + "\n" = 72 bytes *)
-let entry_magic = "dcecc1 "
-let header_len = 72
+(* An entry is a header line, then the payload. The header is
+   "dcecc2 <16 hex: payload length> <16 hex: check>\n" (41 bytes). The
+   object's name is its key, the SHA-256 of what it answers, so the
+   header guards only against torn or rotted bytes, and a checksum does
+   that at memory speed. The check folds every little-endian 64-bit
+   word, then every tail byte, into a state seeded with the length. A
+   step is a bijection in the state for a fixed word and in the word for
+   a fixed state, so changing any one word (or tail byte) always changes
+   the check; the length field catches truncation. Entries written
+   before this header carry "dcecc1 <sha256 of payload>\n" (72 bytes)
+   and still read. *)
+
+let mix h w =
+  let x = Int64.mul (Int64.logxor h w) 0x9E3779B97F4A7C15L in
+  Int64.logxor x (Int64.shift_right_logical x 29)
+
+let checksum s off len =
+  let h = ref (Int64.of_int len) in
+  let words = off + (len land lnot 7) in
+  let i = ref off in
+  while !i < words do
+    h := mix !h (String.get_int64_le s !i);
+    i := !i + 8
+  done;
+  for j = words to off + len - 1 do
+    h := mix !h (Int64.of_int (Char.code s.[j]))
+  done;
+  !h
+
+let header_len = 41
+
+let header len check = Printf.sprintf "dcecc2 %016x %016Lx\n" len check
 
 let encode_entry payload =
-  String.concat "" [ entry_magic; Key.sha256_hex payload; "\n"; payload ]
+  let len = String.length payload in
+  String.concat "" [ header len (checksum payload 0 len); payload ]
 
+(* An entry is valid only when its header is the one its payload
+   encodes to. That is the strict parse: lowercase hex at fixed widths,
+   both separators, and the length of the bytes that follow. *)
 let decode_entry raw =
   let n = String.length raw in
-  if
-    n >= header_len
-    && String.starts_with ~prefix:entry_magic raw
-    && raw.[header_len - 1] = '\n'
-  then
-    let payload = String.sub raw header_len (n - header_len) in
-    if Key.sha256_hex payload = String.sub raw (String.length entry_magic) 64
-    then Some payload
+  let matches off header =
+    n >= off && String.sub raw 0 off = header (n - off)
+  in
+  if String.starts_with ~prefix:"dcecc1 " raw then
+    if
+      matches 72 (fun len ->
+          String.concat ""
+            [ "dcecc1 "; Key.sha256_hex (String.sub raw 72 len); "\n" ])
+    then Some 72
     else None
+  else if
+    matches header_len (fun len -> header len (checksum raw header_len len))
+  then Some header_len
   else None

@@ -31,9 +31,12 @@ val iter_objects : root:string -> (Key.t -> string -> unit) -> unit
 (** [f key path] for every validly named file of the object tree. *)
 
 val encode_entry : string -> string
-(** An object file: the header [dcecc1 <sha256 of payload>\n], then the
-    payload. *)
+(** An object file: the header
+    [dcecc2 <16 hex: payload length> <16 hex: 64-bit check>\n], then the
+    payload, built at its exact size. *)
 
-val decode_entry : string -> string option
-(** The payload of an object file whose header is well formed and whose
-    hash matches, else [None]. *)
+val decode_entry : string -> int option
+(** The offset of the payload in an object file whose header is well
+    formed and whose check matches, else [None]. The payload runs from
+    there to the end of the bytes. Reads both the [dcecc2] header and
+    the legacy [dcecc1 <sha256 of payload>\n] one. *)

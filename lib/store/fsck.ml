@@ -1,8 +1,8 @@
-(* Parallel store verification: re-read every object, re-hash its
+(* Parallel store verification: re-read every object, re-check its
    payload against the header, evict what fails, and cross-check the
    index against what the walk actually found.
 
-   Hashing dominates the cost and objects are independent, so
+   Reading and checking dominate the cost and objects are independent, so
    verification shards across a [Parallel.Pool]. The walk is the source
    of truth (the index is advisory); the index phase repairs both
    divergence modes — entries the index missed ([missing_index],

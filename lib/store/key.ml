@@ -1,10 +1,9 @@
 (* SHA-256 (FIPS 180-4) over strings. All arithmetic is untagged native
    [int] masked to 32 bits — on 64-bit OCaml that is mod-2^32 with no
    boxing, several times faster than the obvious Int32 version.
-   Throughput matters: besides hashing a few hundred bytes of canonical
-   JSON per key, [Cache.find] re-hashes every payload it reads (hundreds
-   of kilobytes per stored result) to verify integrity, so this routine
-   sits on the warm path of every cache hit.
+   It hashes a few hundred bytes of canonical JSON per key, and the
+   whole payload of each legacy [dcecc1] store entry read (new entries
+   carry a word checksum instead, see [Disk]).
 
    The compression function below deviates from the textbook loop in two
    ways, both throughput-motivated (the digest is bit-identical; the

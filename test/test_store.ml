@@ -3,7 +3,9 @@
    encode/decode round-trips, key stability under field permutation and
    default elision, key sensitivity to single-field perturbation, cache
    integrity (corruption evicts and recomputes), sweep resumability and
-   jobs-independence, and the resilience probe memo. *)
+   jobs-independence, the resilience probe memo, and the entry format:
+   its header and checksum, the strict parse, truncation, flip and
+   word-replacement corpora, and entries in the legacy format. *)
 
 module Scenario = Simnet.Scenario
 module Key = Store.Key
@@ -568,23 +570,30 @@ let entry_path root key =
     (Filename.concat (Filename.concat root "objects") (String.sub hex 0 2))
     hex
 
+(* the bytes an entry adds to its payload: the size of an empty put *)
+let entry_overhead () =
+  with_store (fun c ->
+      Cache.put c (Key.of_material "overhead") "";
+      Cache.bytes c)
+
 let test_index_lockstep () =
+  let h = entry_overhead () in
   with_store (fun c ->
       let k1 = Key.of_material "idx-1" and k2 = Key.of_material "idx-2" in
       Cache.put c k1 "payload one";
       Cache.put c k2 "payload two!";
       Alcotest.(check int) "objects counted" 2 (Cache.objects c);
-      (* entry size = 72-byte header + payload *)
+      (* entry size = header + payload *)
       Alcotest.(check int) "bytes counted"
-        (72 + 11 + (72 + 12))
+        (h + 11 + (h + 12))
         (Cache.bytes c);
       Alcotest.(check bool) "membership by hex" true
         (Index.mem (Cache.index c) (Key.to_hex k1));
-      Alcotest.(check (option int)) "per-entry size" (Some (72 + 11))
+      Alcotest.(check (option int)) "per-entry size" (Some (h + 11))
         (Index.size_of (Cache.index c) (Key.to_hex k1));
       Cache.evict c k1;
       Alcotest.(check int) "evict drops the record" 1 (Cache.objects c);
-      Alcotest.(check int) "and its bytes" (72 + 12) (Cache.bytes c);
+      Alcotest.(check int) "and its bytes" (h + 12) (Cache.bytes c);
       Alcotest.(check int) "index = directory-walk oracle" (Cache.entries c)
         (Cache.objects c))
 
@@ -598,6 +607,7 @@ let test_index_cross_process () =
       Alcotest.(check int) "foreign append picked up" 1 (Cache.objects c2))
 
 let test_index_torn_tail_and_rebuild () =
+  let h = entry_overhead () in
   with_store (fun c ->
       Cache.put c (Key.of_material "t1") "a";
       Cache.put c (Key.of_material "t2") "bb";
@@ -612,7 +622,7 @@ let test_index_torn_tail_and_rebuild () =
       Sys.remove journal;
       let c3 = Cache.open_ ~dir:(Cache.root c) in
       Alcotest.(check int) "rebuilt from the tree" 2 (Cache.objects c3);
-      Alcotest.(check int) "rebuilt bytes" (72 + 1 + (72 + 2))
+      Alcotest.(check int) "rebuilt bytes" (h + 1 + (h + 2))
         (Cache.bytes c3))
 
 let test_index_compact () =
@@ -850,6 +860,209 @@ let test_journal_corpus () =
         done
       done)
 
+(* ---------------- Entry format ---------------- *)
+
+(* The entry check restated from its definition, as an oracle: each
+   little-endian 64-bit word assembled byte by byte, then each tail
+   byte, folded into a state seeded with the payload length. *)
+let reference_check p =
+  let step h w =
+    let x = Int64.mul (Int64.logxor h w) 0x9E3779B97F4A7C15L in
+    Int64.logxor x (Int64.shift_right_logical x 29)
+  in
+  let n = String.length p in
+  let byte i = Int64.of_int (Char.code p.[i]) in
+  let h = ref (Int64.of_int n) in
+  for k = 0 to (n / 8) - 1 do
+    let w = ref 0L in
+    for b = 7 downto 0 do
+      w := Int64.logor (Int64.shift_left !w 8) (byte ((8 * k) + b))
+    done;
+    h := step !h !w
+  done;
+  for i = n / 8 * 8 to n - 1 do
+    h := step !h (byte i)
+  done;
+  !h
+
+let reference_entry p =
+  Printf.sprintf "dcecc2 %016x %016Lx\n" (String.length p) (reference_check p)
+  ^ p
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_entry_format () =
+  with_store (fun c ->
+      let rng = Random.State.make [| 19 |] in
+      List.iter
+        (fun n ->
+          let p =
+            String.init n (fun _ -> Char.chr (Random.State.int rng 256))
+          in
+          let k = Key.of_material (Printf.sprintf "format-%d" n) in
+          Cache.put c k p;
+          let raw = read_file (entry_path (Cache.root c) k) in
+          Alcotest.(check string)
+            (Printf.sprintf "%d-byte payload: entry = reference" n)
+            (reference_entry p) raw;
+          Alcotest.(check int) "41-byte header" (41 + n) (String.length raw);
+          Alcotest.(check (option string)) "reads back" (Some p)
+            (Cache.find c k))
+        [ 0; 1; 7; 8; 9; 15; 16; 17; 4096; 100_003 ];
+      (* pinned, so a change of the check cannot pass by changing the
+         oracle with it *)
+      Alcotest.(check string) "golden entry"
+        "dcecc2 000000000000000b 9384f9a5bcdc2581\nhello store"
+        (reference_entry "hello store"))
+
+(* [bytes] at [k]'s object path, in place of a put's entry *)
+let plant c k bytes =
+  Cache.put c k "";
+  write_file (entry_path (Cache.root c) k) bytes
+
+(* writes [bytes] at [k]'s object path, whose directory a put has
+   made, and requires [Cache.find] (with [~typed], [Cache.find_value])
+   to miss and evict them *)
+let check_rejected ?(typed = false) c k what bytes =
+  let path = entry_path (Cache.root c) k in
+  write_file path bytes;
+  let evictions = (Cache.stats c).Cache.evictions in
+  let read =
+    if typed then Option.is_some (Cache.find_value c k : string option)
+    else Option.is_some (Cache.find c k)
+  in
+  if read then Alcotest.failf "%s: %S read as valid" what bytes;
+  if Sys.file_exists path || (Cache.stats c).Cache.evictions <> evictions + 1
+  then Alcotest.failf "%s: not evicted" what
+
+let flip raw pos v = String.mapi (fun i ch -> if i = pos then v else ch) raw
+
+(* the single-bit flips of byte [pos] *)
+let bit_flips raw pos =
+  List.init 8 (fun b ->
+      flip raw pos (Char.chr (Char.code raw.[pos] lxor (1 lsl b))))
+
+(* Every truncation of the header, every single-bit flip of a header
+   byte, and every replacement of one by a character a lax hex parser
+   might take: another digit, uppercase hex, [x], [_], a separator. *)
+let test_entry_header_strict () =
+  with_store (fun c ->
+      let k = Key.of_material "strict" in
+      Cache.put c k "strict header";
+      let raw = read_file (entry_path (Cache.root c) k) in
+      for len = 0 to 40 do
+        check_rejected c k
+          (Printf.sprintf "truncated to %d" len)
+          (String.sub raw 0 len)
+      done;
+      for pos = 0 to 40 do
+        List.iter
+          (check_rejected c k (Printf.sprintf "bit flip at %d" pos))
+          (bit_flips raw pos);
+        String.iter
+          (fun v ->
+            if v <> raw.[pos] then
+              check_rejected c k
+                (Printf.sprintf "byte %d := %C" pos v)
+                (flip raw pos v))
+          "0123456789abcdefABCDEFxX_ \n"
+      done)
+
+(* Every truncation and every single-bit flip of a small entry whose
+   length is not a multiple of 8: each misses and is evicted by
+   [find_value], and fsck counts each one corrupt. *)
+let test_entry_corpus () =
+  let payload = Marshal.to_string "a short corpus" [] in
+  let corpus =
+    with_store (fun c ->
+        let k = Key.of_material "corpus" in
+        Cache.put c k payload;
+        let raw = read_file (entry_path (Cache.root c) k) in
+        let n = String.length raw in
+        Alcotest.(check bool) "payload has a tail" true
+          (String.length payload mod 8 <> 0);
+        let corpus =
+          List.init n (fun len -> String.sub raw 0 len)
+          @ List.concat (List.init n (bit_flips raw))
+        in
+        List.iteri
+          (fun i bytes ->
+            check_rejected ~typed:true c k (Printf.sprintf "variant %d" i)
+              bytes)
+          corpus;
+        corpus)
+  in
+  with_store (fun c ->
+      List.iteri
+        (fun i bytes ->
+          plant c (Key.of_material (Printf.sprintf "corpus-%d" i)) bytes)
+        corpus;
+      let n = List.length corpus in
+      let r = Fsck.run ~jobs:1 c in
+      Alcotest.(check int) "fsck: every variant checked" n r.Fsck.checked;
+      Alcotest.(check int) "fsck: every variant corrupt" n r.Fsck.corrupt;
+      Alcotest.(check int) "fsck: every variant evicted" n r.Fsck.evicted;
+      Alcotest.(check int) "fsck: none sound" 0 r.Fsck.ok)
+
+(* Replacing any one 8-byte word of a 1 MB payload is detected. Half
+   the cases flip only the word's top bit, which a hash that drops it
+   (through [Int64.to_int]) would miss. *)
+let test_entry_word_replacement () =
+  with_store (fun c ->
+      let words = 1 lsl 17 in
+      let rng = Random.State.make [| 1 |] in
+      let k = Key.of_material "words" in
+      Cache.put c k
+        (String.init (8 * words) (fun _ ->
+             Char.chr (Random.State.int rng 256)));
+      let raw = read_file (entry_path (Cache.root c) k) in
+      let off = String.index raw '\n' + 1 in
+      let top_bit = Int64.min_int in
+      QCheck.Test.check_exn ~rand:rng
+        (QCheck.Test.make ~name:"any one replaced payload word is detected"
+           ~count:200
+           QCheck.(
+             pair (int_bound (words - 1))
+               (oneof
+                  [
+                    always top_bit;
+                    map (fun m -> if m = 0L then top_bit else m) int64;
+                  ]))
+           (fun (w, mask) ->
+             let b = Bytes.of_string raw in
+             let at = off + (8 * w) in
+             Bytes.set_int64_le b at
+               (Int64.logxor (Bytes.get_int64_le b at) mask);
+             check_rejected c k
+               (Printf.sprintf "word %d xor %Lx" w mask)
+               (Bytes.unsafe_to_string b);
+             true)))
+
+(* A store written before the [dcecc2] header: a hand-built [dcecc1]
+   entry reads warm, passes fsck, and a flipped copy is evicted. *)
+let test_entry_legacy () =
+  with_store (fun c ->
+      let k = Key.of_material "legacy" in
+      let v = [ 1.5; -2.25; Float.pi ] in
+      let p = Marshal.to_string v [] in
+      let legacy = "dcecc1 " ^ Key.sha256_hex p ^ "\n" ^ p in
+      let path = entry_path (Cache.root c) k in
+      plant c k legacy;
+      Alcotest.(check (option (list (float 0.)))) "reads warm" (Some v)
+        (Cache.find_value c k);
+      Alcotest.(check int) "a hit" 1 (Cache.stats c).Cache.hits;
+      Alcotest.(check int) "no miss" 0 (Cache.stats c).Cache.misses;
+      Alcotest.(check (option string)) "find returns the payload" (Some p)
+        (Cache.find c k);
+      let r = Fsck.run ~jobs:1 c in
+      Alcotest.(check int) "fsck: sound" 1 r.Fsck.ok;
+      Alcotest.(check int) "fsck: not corrupt" 0 r.Fsck.corrupt;
+      Alcotest.(check string) "fsck leaves it as written" legacy
+        (read_file path);
+      let n = String.length legacy in
+      check_rejected ~typed:true c k "flipped legacy entry"
+        (flip legacy (n - 1) (Char.chr (Char.code legacy.[n - 1] lxor 1))))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -922,5 +1135,16 @@ let () =
           test_fsck_clean_and_corrupt;
         Alcotest.test_case "index repair both directions" `Quick
           test_fsck_index_repair;
+      ]);
+      ("entry", [
+        Alcotest.test_case "dcecc2 header and check" `Quick test_entry_format;
+        Alcotest.test_case "header parse is strict" `Quick
+          test_entry_header_strict;
+        Alcotest.test_case "truncations and byte flips" `Quick
+          test_entry_corpus;
+        Alcotest.test_case "dcecc1 entries still read" `Quick
+          test_entry_legacy;
+        Alcotest.test_case "any one payload word replaced" `Quick
+          test_entry_word_replacement;
       ]);
     ]
