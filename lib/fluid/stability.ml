@@ -33,28 +33,52 @@ let default_horizon p =
        (region_time_scale p Linearized.Increase)
        (region_time_scale p Linearized.Decrease)
 
-let first_excursion ?t_max ?solver p =
+(* A streaming fold over the samples [Trajectory.integrate] would record
+   (the [Stream] sink hands over the same bits), with nothing localized:
+   - [x max] / [x min] are the [Trajectory.x_max] / [x_min] folds;
+   - a switching fires between consecutive samples by [Ode.fires Both]
+     on sigma = -(x + k·y), the bits of [Model]'s [sw] guard;
+   - the tail min from switching n starts at the sample ending the step
+     k that fired it, seeded by that sample then kept on strict [<]
+     ([Series.argmin]). A recorded trajectory's bisected crossing time
+     [t_{k-1} +. s·h] lies in (t_{k-1}, t_k], so [Series.tail_from] at
+     it gives the same tail, unless it rounds to [t_{k-1}]. The
+     bisection keeps s above about 2.5e-14 (s = 1e-15 only when the
+     guard is exactly 0 there), so that takes a switching root within
+     about 1e-13 of a step, as a fraction of it, from the step's
+     start. *)
+let first_excursion ?t_max ?(solver = Ode.Adaptive (1e-9, 1e-12)) p =
   let t_max = match t_max with Some t -> t | None -> default_horizon p in
-  let sys = Model.normalized_system p in
-  let tr =
-    Phaseplane.Trajectory.integrate ?solver ~t_max sys (Model.start_point p)
+  let k = Params.k p in
+  (* fold state: 0 = x max, 1 = x min, 2 = sigma at the previous sample
+     (nan before the first), 3 = switchings so far, 4 = min x from
+     switching 1, 5 = min x from switching 2 *)
+  let acc = [| neg_infinity; infinity; nan; 0.; nan; nan |] in
+  let on_point pt =
+    let x = pt.(1) in
+    acc.(0) <- Float.max acc.(0) x;
+    acc.(1) <- Float.min acc.(1) x;
+    let n = acc.(3) in
+    if n >= 1. && x < acc.(4) then acc.(4) <- x;
+    if n >= 2. && x < acc.(5) then acc.(5) <- x;
+    let gp = acc.(2) in
+    let gn = -.(x +. (k *. pt.(2))) in
+    if gp <> 0. && gp *. gn <= 0. && gn <> gp then begin
+      acc.(3) <- n +. 1.;
+      if n = 0. then acc.(4) <- x else if n = 1. then acc.(5) <- x
+    end;
+    acc.(2) <- gn
   in
-  let xs = Phaseplane.Trajectory.x_series tr in
-  let crossings = tr.Phaseplane.Trajectory.switch_crossings in
-  let max_x = Phaseplane.Trajectory.x_max tr in
+  Ode.solve solver
+    (Ode.guards_of_events ~dim:2 [])
+    (Ode.Stream { on_point; on_event = (fun _ _ -> ()) })
+    (Phaseplane.System.to_auto (Model.normalized_system p))
+    ~t0:0. ~t_end:t_max
+    ~y0:(Vec2.to_array (Model.start_point p));
   let min_x =
-    match crossings with
-    | _ :: { Phaseplane.Trajectory.ct = t2; _ } :: _ ->
-        let tail = Series.tail_from xs t2 in
-        if Series.is_empty tail then Phaseplane.Trajectory.x_min tr
-        else snd (Series.argmin tail)
-    | [ { Phaseplane.Trajectory.ct = t1; _ } ] ->
-        let tail = Series.tail_from xs t1 in
-        if Series.is_empty tail then Phaseplane.Trajectory.x_min tr
-        else snd (Series.argmin tail)
-    | [] -> Phaseplane.Trajectory.x_min tr
+    if acc.(3) >= 2. then acc.(5) else if acc.(3) = 1. then acc.(4) else acc.(1)
   in
-  (max_x, min_x)
+  (acc.(0), min_x)
 
 let proposition2 p =
   match Cases.classify p with

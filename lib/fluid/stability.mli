@@ -33,11 +33,13 @@ type verdict = {
 val first_excursion :
   ?t_max:float -> ?solver:Phaseplane.Trajectory.solver -> Params.t ->
   float * float
-(** [(max x, min x)] over the first full oscillation of the nonlinear
-    system (8) launched from [(−q0, 0)]: the max over the first
-    decrease-region excursion and the min over the following
-    increase-region excursion, measured after the first switching. The
-    default horizon is 12 periods of the slower subsystem. *)
+(** [(max x, min x)] of the nonlinear system (8) launched from
+    [(−q0, 0)] and integrated to [t_max]: [max x] over the whole run,
+    and [min x] from the second switching-line crossing to [t_max] —
+    from the first crossing when there is only one, over the whole run
+    when there is none. The default horizon is 12 periods of the slower
+    subsystem; the default solver is [Adaptive (1e-9, 1e-12)]. The run
+    is folded as it goes: no trajectory is kept. *)
 
 val analyze :
   ?t_max:float -> ?solver:Phaseplane.Trajectory.solver -> Params.t -> verdict

@@ -146,6 +146,46 @@ let test_safe_region_jobs_identity () =
     (Marshal.to_string j1 [])
     (Marshal.to_string j4 [])
 
+(* The batched safe-region kernel against its scalar oracle: each cell
+   of a 6x5 raster, stepped by [Model.simulate_physical] with the step
+   and horizon [classify_front] uses, gives the kernel's verdict. *)
+let test_safe_region_oracle () =
+  let slower_period p =
+    Float.max
+      (2. *. Float.pi
+      /. sqrt (Fluid.Linearized.stiffness p Fluid.Linearized.Increase))
+      (2. *. Float.pi
+      /. sqrt (Fluid.Linearized.stiffness p Fluid.Linearized.Decrease))
+  in
+  let oracle p (q, r) =
+    let t_end = 12. *. slower_period p in
+    let h = Float.min 1e-6 (slower_period p /. 500.) in
+    let run = Fluid.Model.simulate_physical ~h ~q_init:q ~r_init:r ~t_end p in
+    if run.Fluid.Model.dropped_bits > 0. then Fluid.Safe_region.Overflow
+    else if run.Fluid.Model.idle_time > 0. then Fluid.Safe_region.Underflow
+    else Fluid.Safe_region.Safe
+  in
+  let base = Fluid.Params.default in
+  List.iter
+    (fun (label, p) ->
+      let ra = Fluid.Safe_region.raster ~nq:6 ~nr:5 p in
+      Array.iteri
+        (fun i q ->
+          Array.iteri
+            (fun j r ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: cell (%d, %d)" label i j)
+                true
+                (ra.Fluid.Safe_region.cells.(i).(j) = oracle p (q, r)))
+            ra.Fluid.Safe_region.r_grid)
+        ra.Fluid.Safe_region.q_grid)
+    [
+      ("default buffer", base);
+      ( "Theorem-1 buffer",
+        Fluid.Params.with_buffer base
+          (1.1 *. Fluid.Criterion.required_buffer base) );
+    ]
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -162,5 +202,10 @@ let () =
             test_portrait_jobs_identity;
           Alcotest.test_case "safe region jobs identity" `Quick
             test_safe_region_jobs_identity;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "safe region = simulate_physical" `Quick
+            test_safe_region_oracle;
         ] );
     ]

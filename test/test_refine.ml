@@ -2,9 +2,10 @@
    satellites: quadtree-vs-dense-oracle equivalence on half-planes
    (where corner disagreement detects the boundary exactly at every
    stride), jobs byte-identity, warm-memo zero-backend-calls (Hashtbl
-   and content-addressed store), the streaming Transient.measure
-   against a reference copy of the recorded implementation, the
-   streaming solver sink against the recording one on the fluid model,
+   and content-addressed store), the streaming Transient.measure and
+   Stability.first_excursion against reference copies of their
+   recorded implementations, the streaming solver sink against the
+   recording one on the fluid model,
    the Safe_region.render extent-label fix, and Resilience.scan. *)
 
 module Engine = Refine.Engine
@@ -233,6 +234,129 @@ let test_measure_allocation () =
     (Printf.sprintf "measure allocates %.0f minor words (< 4000)" dw)
     true (dw < 4000.)
 
+(* ---------------- streaming Stability.first_excursion ---------------- *)
+
+(* reference copy of the recorded implementation (recorded trajectory,
+   bisected switch crossings, Series post-processing) and of its
+   default horizon *)
+let reference_horizon p =
+  let time_scale region =
+    match Fluid.Cases.shape_of p region with
+    | Fluid.Cases.Spiral_shape ->
+        Fluid.Spiral.period (Fluid.Spiral.of_region p region)
+    | Fluid.Cases.Node_shape ->
+        4. /. Float.abs (Fluid.Node.slow_slope (Fluid.Node.of_region p region))
+    | Fluid.Cases.Critical_shape -> (
+        match Fluid.Linearized.eigenvalues p region with
+        | Numerics.Mat2.Real_pair (l1, _) -> 4. /. Float.abs l1
+        | Numerics.Mat2.Complex_pair { re; _ } -> 4. /. Float.abs re)
+  in
+  12.
+  *. Float.max
+       (time_scale Fluid.Linearized.Increase)
+       (time_scale Fluid.Linearized.Decrease)
+
+let reference_first_excursion ?t_max ?solver p =
+  let t_max = match t_max with Some t -> t | None -> reference_horizon p in
+  let sys = Fluid.Model.normalized_system p in
+  let tr =
+    Phaseplane.Trajectory.integrate ?solver ~t_max sys (Fluid.Model.start_point p)
+  in
+  let xs = Phaseplane.Trajectory.x_series tr in
+  let crossings = tr.Phaseplane.Trajectory.switch_crossings in
+  let max_x = Phaseplane.Trajectory.x_max tr in
+  let min_x =
+    match crossings with
+    | _ :: { Phaseplane.Trajectory.ct = t2; _ } :: _ ->
+        let tail = Numerics.Series.tail_from xs t2 in
+        if Numerics.Series.is_empty tail then Phaseplane.Trajectory.x_min tr
+        else snd (Numerics.Series.argmin tail)
+    | [ { Phaseplane.Trajectory.ct = t1; _ } ] ->
+        let tail = Numerics.Series.tail_from xs t1 in
+        if Numerics.Series.is_empty tail then Phaseplane.Trajectory.x_min tr
+        else snd (Numerics.Series.argmin tail)
+    | [] -> Phaseplane.Trajectory.x_min tr
+  in
+  (max_x, min_x)
+
+(* switch-crossing times of the default-solver run to [t_max] *)
+let switch_times ~t_max p =
+  let tr =
+    Phaseplane.Trajectory.integrate ~t_max (Fluid.Model.normalized_system p)
+      (Fluid.Model.start_point p)
+  in
+  List.map
+    (fun c -> c.Phaseplane.Trajectory.ct)
+    tr.Phaseplane.Trajectory.switch_crossings
+
+let test_excursion_differential () =
+  let p = Fluid.Params.default in
+  let gain_corners =
+    (* the bench's gain domain, 0.25a..8a x 0.25b..8b *)
+    let a = Fluid.Params.a p and b = Fluid.Params.b p in
+    List.map
+      (fun (fx, fy) ->
+        ( Printf.sprintf "gains (%ga, %gb)" fx fy,
+          Refine.Param_plane.gains p ~x:(fx *. a) ~y:(fy *. b) ))
+      [ (0.25, 0.25); (0.25, 8.); (8., 0.25); (8., 8.); (4.125, 4.125) ]
+  in
+  let points =
+    [
+      ("default", p);
+      ( "Theorem-1 buffer",
+        Fluid.Params.with_buffer p (1.1 *. Fluid.Criterion.required_buffer p) );
+      ("gd = 1", Fluid.Params.with_gains ~gd:1. p);
+      ("w = 8000", Fluid.Params.with_sampling ~w:8000. p);
+      ("Case 3", Dcecc_core.Figures.case3_params);
+      ("Case 4", Dcecc_core.Figures.case4_params);
+    ]
+    @ gain_corners
+  in
+  List.iter
+    (fun (label, p) ->
+      marshal_eq label
+        (Fluid.Stability.first_excursion p)
+        (reference_first_excursion p))
+    points;
+  let solver = Numerics.Ode.Fixed (Numerics.Ode.Rk4, 1e-6) in
+  marshal_eq "default, Fixed (Rk4, 1e-6), 2 ms"
+    (Fluid.Stability.first_excursion ~solver ~t_max:2e-3 p)
+    (reference_first_excursion ~solver ~t_max:2e-3 p);
+  (* horizons ending before the first switching and between the first
+     two, so the zero- and one-crossing fallbacks are exercised *)
+  let t1, t2 =
+    match switch_times ~t_max:(reference_horizon p) p with
+    | t1 :: t2 :: _ -> (t1, t2)
+    | _ -> Alcotest.fail "default run switches fewer than twice"
+  in
+  List.iter
+    (fun (label, t_max, n) ->
+      Alcotest.(check int)
+        (label ^ ": switchings in the reference run")
+        n
+        (List.length (switch_times ~t_max p));
+      marshal_eq label
+        (Fluid.Stability.first_excursion ~t_max p)
+        (reference_first_excursion ~t_max p))
+    [ ("no switching", 0.5 *. t1, 0); ("one switching", 0.5 *. (t1 +. t2), 1) ]
+
+(* The fold keeps no per-step state: a 16x longer run allocates the
+   same minor words as a short one. *)
+let test_excursion_allocation () =
+  let p = Fluid.Params.default in
+  let words t_max =
+    ignore (Fluid.Stability.first_excursion ~t_max p);
+    let w0 = Gc.minor_words () in
+    ignore (Fluid.Stability.first_excursion ~t_max p);
+    Gc.minor_words () -. w0
+  in
+  let short = words 1e-3 and long = words 16e-3 in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words: %.0f at 1 ms, %.0f at 16 ms (within 64)"
+       short long)
+    true
+    (Float.abs (long -. short) <= 64.)
+
 (* ---------------- streaming solver vs recording solver ---------------- *)
 
 (* Run [Ode.solve] with the [Stream] sink over the event list
@@ -454,6 +578,10 @@ let () =
             test_measure_differential;
           Alcotest.test_case "measure allocation bound" `Quick
             test_measure_allocation;
+          Alcotest.test_case "first_excursion = reference (bits)" `Quick
+            test_excursion_differential;
+          Alcotest.test_case "first_excursion allocation flat" `Quick
+            test_excursion_allocation;
           Alcotest.test_case "scan solver = recording solver (bits)" `Quick
             test_scan_differential;
           Alcotest.test_case "scan solver terminal event" `Quick
