@@ -8,13 +8,16 @@
     module rasterizes the plane: each cell is integrated forward and
     classified by whether the trajectory stays inside the buffer walls.
 
-    Classification of a cell (normalized coordinates, launch at the cell
-    center):
-    - [Safe] — the trajectory remains in [(-q0, B - q0)] for the whole
-      horizon after its first switching-line crossing;
-    - [Overflow] — [x] reaches [B - q0] (packets would drop);
-    - [Underflow] — [x] returns to [-q0] after having left it (link
-      idles). *)
+    Classification of a cell (physical coordinates, launch at the cell
+    center): the clamped physical model of {!Model.simulate_physical} is
+    stepped with RK4 from [t = 0] to the horizon, with its wall clamps
+    and its drop and idle accounting, and the run gets
+    - [Overflow] if [q > B] after any step (packets would drop); this
+      wins over [Underflow];
+    - [Underflow] if, after warm-up (the first step with
+      [q > 1e-9·B]), some step ends with [q <= 1e-9·B] and [N·r < C]
+      (the link idles);
+    - [Safe] otherwise. *)
 
 type verdict = Safe | Overflow | Underflow
 
@@ -29,8 +32,9 @@ type raster = {
 
 val classify :
   ?t_max:float -> Params.t -> q:float -> r:float -> verdict
-(** Classify a single initial state ([0 <= q <= B] required). Default
-    horizon: 12 periods of the slower subsystem. *)
+(** Classify a single initial state ([0 <= q <= B] and a finite
+    [r >= 0] required). Default horizon: 12 periods of the slower
+    subsystem. *)
 
 val classify_front :
   ?t_max:float ->
@@ -39,13 +43,16 @@ val classify_front :
   (float * float) array ->
   verdict array
 (** Classify a whole front of [(q, r)] initial states in one batched
-    integration ({!Numerics.Ode.Batch}): one SoA sweep per RK stage over
-    all lanes, zero minor-heap allocation per step, and a lane is frozen
-    the moment its verdict is decided (the first dropped bit decides
-    [Overflow], which has priority over [Underflow], so idle signals
-    never freeze early). Verdicts are bit-identical to per-point
-    {!classify}, for any front and any [jobs] (chunk boundaries depend
-    only on the input length). *)
+    integration. Each RK4 step is four fused sweeps over the lanes still
+    undecided, each evaluating the right-hand side inline and folding
+    its stage slope into a running sum; nothing is called and nothing is
+    allocated per step. A lane leaves the sweeps the moment its verdict
+    is decided (the first dropped bit decides [Overflow], which has
+    priority over [Underflow], so idle signals never decide early).
+    Verdicts are bit-identical to per-point {!classify}, for any front
+    and any [jobs] (chunk boundaries depend only on the input length).
+    Raises [Invalid_argument] if a [q] is not in [[0, B]], an [r] is not
+    finite and [>= 0], or [t_max] is not finite and [> 0]. *)
 
 val raster :
   ?t_max:float ->
@@ -56,7 +63,8 @@ val raster :
   Params.t ->
   raster
 (** Raster over [q in [0, B]] x [r in [0, r_max]] (default
-    [r_max = 2·C/N], grid 24 x 24). *)
+    [r_max = 2·C/N], grid 24 x 24). Raises [Invalid_argument] unless
+    [r_max] is finite and [> 0]. *)
 
 val render : raster -> string
 (** ASCII heat map: ['.'] safe, ['#'] overflow, ['o'] underflow; the
