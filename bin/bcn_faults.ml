@@ -192,12 +192,12 @@ let plane_run axis_x axis_y flap_period flap_duty t_end transient seed jobs
 
 (* A single feeder paces pool-allocated frames through a BCN-enabled
    switch whose control output (optionally) runs through an injector
-   channel into a releasing sink. Mirrors the bench forwarding harness,
-   plus the interposition layer; returns minor words per data frame
-   after warmup. The switch's own BCN emission costs ~2 words per
-   control frame (a boxed-float store, which predates the injector), so
-   the injector's cost is asserted as the {e difference} between the
-   wrapped and bare measurements of the same scenario. *)
+   channel into a releasing sink. Mirrors test_simnet's forwarding
+   allocation test, plus the interposition layer; returns minor words
+   per data frame after warmup. The switch's own BCN emission costs ~2
+   words per control frame (a boxed-float store, which predates the
+   injector), so the injector's cost is asserted as the {e difference}
+   between the wrapped and bare measurements of the same scenario. *)
 let injected_forwarding_words ~plan ~frames () =
   let params = Fluid.Params.with_buffer Fluid.Params.default 15e6 in
   let pool = Simnet.Packet.Pool.create () in

@@ -114,7 +114,7 @@ let run out ids adaptive dense coarse levels jobs store_spec =
   if adaptive || dense then
     region_run out adaptive dense coarse levels jobs store_spec
   else begin
-    let all = Dcecc_core.Figures.all ~out () in
+    let all = Dcecc_core.Figures.all ?jobs ~out () in
     let selected =
       match ids with
       | [] -> all

@@ -141,7 +141,7 @@ let integrate_batch ~method_ ~h ~t_max ?converge_radius ?box sys
    [k*n/jobs, (k+1)*n/jobs). Depends only on (n, jobs) — and since the
    lanes are mutually independent bit-wise, the per-lane results do not
    depend on how the front is split, so any [jobs] gives byte-identical
-   output (asserted by the test suite and `bench --compare`). *)
+   output (asserted by the test suite). *)
 let chunk_bounds n jobs =
   let jobs = Stdlib.min jobs n in
   List.init jobs (fun k -> (k * n / jobs, ((k + 1) * n / jobs) - 1))

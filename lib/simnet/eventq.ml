@@ -3,7 +3,7 @@
    The hot path of the discrete-event engine pushes and pops one entry
    per simulated event, so the queue must not allocate per operation.
    Instead of an array of boxed { key; seq; value } records (the seed
-   implementation, preserved as {!Eventq_boxed}), the heap is three
+   implementation, kept as test_simnet's oracle), the heap is three
    parallel arrays:
 
      keys : float array   -- flat/unboxed: sift comparisons never chase

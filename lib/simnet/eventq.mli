@@ -13,8 +13,8 @@
     overwritten immediately so the queue never pins dead payloads
     (e.g. callback closures) until a slot happens to be reused.
 
-    {!Eventq_boxed} preserves the original record-per-entry
-    implementation as a property-test oracle and benchmark baseline. *)
+    The original record-per-entry implementation survives as the
+    property-test oracle in test_simnet. *)
 
 type 'a t
 

@@ -131,7 +131,8 @@ and complete_service sw e =
   (* read the frame's fields before [forward]: the downstream sink may
      recycle the frame into the pool. Matching the kind inline (rather
      than Packet.flow_of) keeps this allocation-free: flow_of builds an
-     option per call, which the bench smoke flags at 2 words/frame. *)
+     option per call, which test_simnet's "allocation" group flags at
+     2 words/frame. *)
   Telemetry.Probe.dequeue (Engine.probe e) ~t:(Engine.now e)
     ~q:(queue_bits sw)
     ~sojourn:(Engine.now e -. Packet.born pkt)

@@ -158,13 +158,3 @@ let publish_metrics c mx =
   Index.refresh c.index;
   Telemetry.Metrics.add mx "store.objects" (Index.objects c.index);
   Telemetry.Metrics.add mx "store.bytes" (Index.bytes c.index)
-
-let entries c =
-  let objects = Filename.concat c.root "objects" in
-  if not (Sys.file_exists objects) then 0
-  else
-    Array.fold_left
-      (fun acc sub ->
-        let d = Filename.concat objects sub in
-        if Sys.is_directory d then acc + Array.length (Sys.readdir d) else acc)
-      0 (Sys.readdir objects)

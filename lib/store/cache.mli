@@ -86,11 +86,6 @@ val publish_metrics : t -> Telemetry.Metrics.t -> unit
     [store.puts] / [store.evictions] / [store.gc_collected], plus the
     index-backed size accounting [store.objects] / [store.bytes]. *)
 
-val entries : t -> int
-(** Number of object entries on disk — a directory walk, O(objects).
-    Kept as the slow oracle the index is benchmarked and fsck'd
-    against; use {!objects} on hot paths. *)
-
 (** {1 The object index} *)
 
 val index : t -> Index.t
@@ -99,7 +94,7 @@ val index : t -> Index.t
 
 val objects : t -> int
 (** Object count through the index: one {!Index.refresh} plus an O(1)
-    read, instead of {!entries}' directory walk. *)
+    read, instead of a directory walk. *)
 
 val bytes : t -> int
 (** Total on-disk entry bytes (headers + payloads) through the index. *)

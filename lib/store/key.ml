@@ -7,8 +7,8 @@
 
    The compression function below deviates from the textbook loop in two
    ways, both throughput-motivated (the digest is bit-identical; the
-   FIPS vectors in test_store pin it, and [sha256_reference] keeps the
-   straightforward loop for differential testing):
+   FIPS vectors in test_store pin it, and test_store keeps the
+   straightforward loop as a differential-testing oracle):
 
    - rotations use a "doubled word": for x < 2^32, [x lor (x lsl 32)]
      stacks a second copy of x above the first (minus x's top bit, which
@@ -393,107 +393,6 @@ let sha256 (msg : string) : string =
   let ctx = init () in
   feed ctx msg;
   final ctx
-
-(* The straightforward textbook loop, kept as the differential-testing
-   oracle for the unrolled compression function above. *)
-let sha256_reference (msg : string) : string =
-  let len = String.length msg in
-  let full = len / 64 in
-  let rem = len - (full * 64) in
-  let tail_len = if rem + 1 + 8 <= 64 then 64 else 128 in
-  let tail = Bytes.make tail_len '\000' in
-  Bytes.blit_string msg (full * 64) tail 0 rem;
-  Bytes.set tail rem '\x80';
-  let bitlen = len * 8 in
-  for i = 0 to 7 do
-    Bytes.set tail (tail_len - 1 - i)
-      (Char.unsafe_chr ((bitlen lsr (8 * i)) land 0xff))
-  done;
-  let h0 = ref 0x6a09e667 and h1 = ref 0xbb67ae85 in
-  let h2 = ref 0x3c6ef372 and h3 = ref 0xa54ff53a in
-  let h4 = ref 0x510e527f and h5 = ref 0x9b05688c in
-  let h6 = ref 0x1f83d9ab and h7 = ref 0x5be0cd19 in
-  let w = Array.make 64 0 in
-  let compress () =
-    for t = 16 to 63 do
-      let x = Array.unsafe_get w (t - 15) in
-      let s0 =
-        ((x lsr 7) lor (x lsl 25)) lxor ((x lsr 18) lor (x lsl 14)) lxor (x lsr 3)
-      in
-      let y = Array.unsafe_get w (t - 2) in
-      let s1 =
-        ((y lsr 17) lor (y lsl 15)) lxor ((y lsr 19) lor (y lsl 13)) lxor (y lsr 10)
-      in
-      Array.unsafe_set w t
-        ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1)
-         land mask)
-    done;
-    let a = ref !h0 and b = ref !h1 and c = ref !h2 and d = ref !h3 in
-    let e = ref !h4 and f = ref !h5 and g = ref !h6 and hh = ref !h7 in
-    for t = 0 to 63 do
-      let ev = !e land mask in
-      let sigma1 =
-        ((ev lsr 6) lor (ev lsl 26)) land mask
-        lxor (((ev lsr 11) lor (ev lsl 21)) land mask)
-        lxor (((ev lsr 25) lor (ev lsl 7)) land mask)
-      in
-      let ch = (ev land !f) lxor (lnot ev land !g) in
-      let t1 =
-        (!hh + sigma1 + ch + Array.unsafe_get k_const t + Array.unsafe_get w t)
-        land mask
-      in
-      let av = !a land mask in
-      let sigma0 =
-        ((av lsr 2) lor (av lsl 30)) land mask
-        lxor (((av lsr 13) lor (av lsl 19)) land mask)
-        lxor (((av lsr 22) lor (av lsl 10)) land mask)
-      in
-      let maj = (av land !b) lxor (av land !c) lxor (!b land !c) in
-      let t2 = (sigma0 + maj) land mask in
-      hh := !g;
-      g := !f;
-      f := ev;
-      e := (!d + t1) land mask;
-      d := !c;
-      c := !b;
-      b := av;
-      a := (t1 + t2) land mask
-    done;
-    h0 := (!h0 + !a) land mask;
-    h1 := (!h1 + !b) land mask;
-    h2 := (!h2 + !c) land mask;
-    h3 := (!h3 + !d) land mask;
-    h4 := (!h4 + !e) land mask;
-    h5 := (!h5 + !f) land mask;
-    h6 := (!h6 + !g) land mask;
-    h7 := (!h7 + !hh) land mask
-  in
-  for block = 0 to full - 1 do
-    let base = block * 64 in
-    for t = 0 to 15 do
-      let i = base + (4 * t) in
-      Array.unsafe_set w t
-        ((Char.code (String.unsafe_get msg i) lsl 24)
-        lor (Char.code (String.unsafe_get msg (i + 1)) lsl 16)
-        lor (Char.code (String.unsafe_get msg (i + 2)) lsl 8)
-        lor Char.code (String.unsafe_get msg (i + 3)))
-    done;
-    compress ()
-  done;
-  for block = 0 to (tail_len / 64) - 1 do
-    let base = block * 64 in
-    for t = 0 to 15 do
-      let i = base + (4 * t) in
-      Array.unsafe_set w t
-        ((Char.code (Bytes.unsafe_get tail i) lsl 24)
-        lor (Char.code (Bytes.unsafe_get tail (i + 1)) lsl 16)
-        lor (Char.code (Bytes.unsafe_get tail (i + 2)) lsl 8)
-        lor Char.code (Bytes.unsafe_get tail (i + 3)))
-    done;
-    compress ()
-  done;
-  Printf.sprintf "%08x%08x%08x%08x%08x%08x%08x%08x" !h0 !h1 !h2 !h3 !h4 !h5
-    !h6 !h7
 
 let sha256_hex = sha256
 

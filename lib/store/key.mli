@@ -34,11 +34,6 @@ val sha256_hex : string -> string
 (** The raw digest primitive, exposed for tests against the FIPS
     vectors and for the cache's body-integrity check. *)
 
-val sha256_reference : string -> string
-(** The straightforward FIPS 180-4 loop, kept as a differential-testing
-    oracle for the unrolled production compression function behind
-    [sha256_hex]. Same digests, lower throughput. *)
-
 type ctx
 (** Streaming digest state: absorb input incrementally with {!feed},
     close with {!final}. [sha256_hex s] = [init] + one [feed] + [final]. *)

@@ -4,8 +4,9 @@
     {!Metrics} registry. Every emitter below is an [@inline] wrapper
     whose body starts with [if p.enabled]; with the disabled probe the
     call compiles down to a load and an untaken branch — no closure, no
-    float boxing, no allocation. The packet-engine bench smoke asserts
-    this stays at ~0 minor words per frame on the forwarding fast path.
+    float boxing, no allocation. test_simnet's "allocation" group
+    asserts this stays at ~0 minor words per frame on the forwarding
+    fast path.
 
     Install a probe per run ([Simnet.Engine.create ?probe] /
     [Simnet.Runner.run ?probe]); the shared {!disabled} probe is the

@@ -1,9 +1,9 @@
 (* The domain pool: order preservation, exception propagation, the
    sequential fallback, determinism of the chunked array map, and the
-   end-to-end guarantee that the parallel figure driver produces output
-   identical to a serial run. Run under both DCECC_JOBS=1 and
-   DCECC_JOBS=N by the @runtest-fast alias so the fallback path stays
-   covered. *)
+   end-to-end guarantee that parallel figure regeneration produces text
+   and CSV bytes identical to a serial run. Run under both DCECC_JOBS=1
+   and DCECC_JOBS=N by the @runtest-fast alias so the fallback path
+   stays covered. *)
 
 let pool_sizes = [ 1; 2; 4 ]
 
@@ -133,19 +133,40 @@ let prop_parmap_is_array_map =
 
 (* ---------------- figures: parallel = serial ---------------- *)
 
+let with_temp_dir f =
+  let dir = Filename.temp_dir "dcecc-parallel-test" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir))))
+    (fun () -> f dir)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
 let test_figures_parallel_equals_serial () =
-  (* the end-to-end determinism guarantee behind `bench --compare`;
-     jobs:2 keeps the cost bounded on small machines while still
-     exercising cross-domain fan-out *)
-  let serial = Dcecc_core.Figures.all ~jobs:1 () in
-  let parallel = Dcecc_core.Figures.all ~jobs:2 () in
+  (* the end-to-end determinism guarantee: figure text and CSV bytes do
+     not depend on jobs. jobs:2 keeps the cost bounded on small machines
+     while still exercising cross-domain fan-out *)
+  with_temp_dir @@ fun dir_s ->
+  with_temp_dir @@ fun dir_p ->
+  let serial = Dcecc_core.Figures.all ~jobs:1 ~out:dir_s () in
+  let parallel = Dcecc_core.Figures.all ~jobs:2 ~out:dir_p () in
   Alcotest.(check int) "experiment count" (List.length serial)
     (List.length parallel);
   List.iter2
     (fun (id_s, text_s) (id_p, text_p) ->
       Alcotest.(check string) "id order" id_s id_p;
       Alcotest.(check string) (id_s ^ " text") text_s text_p)
-    serial parallel
+    serial parallel;
+  let files dir = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  let names = files dir_s in
+  Alcotest.(check bool) "CSVs written" true (names <> []);
+  Alcotest.(check (list string)) "CSV names" names (files dir_p);
+  List.iter
+    (fun name ->
+      Alcotest.(check string) (name ^ " bytes")
+        (read_file (Filename.concat dir_s name))
+        (read_file (Filename.concat dir_p name)))
+    names
 
 (* ---------------- fan_out ---------------- *)
 

@@ -292,7 +292,7 @@ let switch_times ~t_max p =
 let test_excursion_differential () =
   let p = Fluid.Params.default in
   let gain_corners =
-    (* the bench's gain domain, 0.25a..8a x 0.25b..8b *)
+    (* the gain domain of figures --adaptive, 0.25a..8a x 0.25b..8b *)
     let a = Fluid.Params.a p and b = Fluid.Params.b p in
     List.map
       (fun (fx, fy) ->

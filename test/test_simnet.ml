@@ -1,6 +1,7 @@
 (* Tests for the discrete-event network substrate: event queue, engine,
    FIFO accounting, packets, switch congestion point, sources, the
-   dumbbell runner, the victim topology and the QCN variant. *)
+   dumbbell runner, the victim topology and the QCN variant, plus the
+   zero-allocation checks on the forwarding path and the event queue. *)
 
 open Numerics
 
@@ -81,10 +82,72 @@ let prop_eventq_fifo_under_ties =
           List.sort compare payloads = payloads)
         [ 0; 1; 2; 3 ])
 
-(* Interleaved push/pop sequences against the seed implementation
-   ([Eventq_boxed]) as the oracle: both queues must agree on every
-   popped (key, payload) pair and on the final size. Keys are tie-prone
-   on purpose — this pins the FIFO tie-break across the rewrite. *)
+(* The seed implementation of the event queue, kept as an independent
+   oracle: a binary min-heap over boxed { key; seq; value } records,
+   one allocated per push. *)
+module Boxed_oracle = struct
+  type 'a entry = { key : float; seq : int; value : 'a }
+
+  type 'a t = {
+    mutable heap : 'a entry option array;
+    mutable len : int;
+    mutable next_seq : int;
+  }
+
+  let create () = { heap = [||]; len = 0; next_seq = 0 }
+  let size q = q.len
+  let get q i = Option.get q.heap.(i)
+  let before a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
+
+  let swap q i j =
+    let tmp = q.heap.(i) in
+    q.heap.(i) <- q.heap.(j);
+    q.heap.(j) <- tmp
+
+  let rec sift_up q i =
+    let parent = (i - 1) / 2 in
+    if i > 0 && before (get q i) (get q parent) then begin
+      swap q i parent;
+      sift_up q parent
+    end
+
+  let rec sift_down q i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < q.len && before (get q l) (get q !smallest) then smallest := l;
+    if r < q.len && before (get q r) (get q !smallest) then smallest := r;
+    if !smallest <> i then begin
+      swap q i !smallest;
+      sift_down q !smallest
+    end
+
+  let push q key value =
+    if q.len = Array.length q.heap then begin
+      let h = Array.make (max 16 (2 * q.len)) None in
+      Array.blit q.heap 0 h 0 q.len;
+      q.heap <- h
+    end;
+    q.heap.(q.len) <- Some { key; seq = q.next_seq; value };
+    q.next_seq <- q.next_seq + 1;
+    q.len <- q.len + 1;
+    sift_up q (q.len - 1)
+
+  let pop q =
+    if q.len = 0 then None
+    else begin
+      let top = get q 0 in
+      q.len <- q.len - 1;
+      q.heap.(0) <- q.heap.(q.len);
+      q.heap.(q.len) <- None;
+      sift_down q 0;
+      Some (top.key, top.value)
+    end
+end
+
+(* Interleaved push/pop sequences against [Boxed_oracle]: both queues
+   must agree on every popped (key, payload) pair and on the final
+   size. Keys are tie-prone on purpose — this pins the FIFO tie-break
+   across the rewrite. *)
 let prop_eventq_matches_boxed_oracle =
   QCheck.Test.make ~name:"interleaved ops match the boxed oracle" ~count:300
     QCheck.(
@@ -92,7 +155,7 @@ let prop_eventq_matches_boxed_oracle =
         (option (int_range 0 7)))
     (fun ops ->
       let q = Simnet.Eventq.create () in
-      let oracle = Simnet.Eventq_boxed.create () in
+      let oracle = Boxed_oracle.create () in
       let next = ref 0 in
       List.for_all
         (fun op ->
@@ -100,16 +163,16 @@ let prop_eventq_matches_boxed_oracle =
           | Some k ->
               let key = float_of_int k in
               Simnet.Eventq.push q key !next;
-              Simnet.Eventq_boxed.push oracle key !next;
+              Boxed_oracle.push oracle key !next;
               incr next;
-              Simnet.Eventq.size q = Simnet.Eventq_boxed.size oracle
+              Simnet.Eventq.size q = Boxed_oracle.size oracle
           | None -> (
-              match (Simnet.Eventq.pop q, Simnet.Eventq_boxed.pop oracle) with
+              match (Simnet.Eventq.pop q, Boxed_oracle.pop oracle) with
               | None, None -> true
               | Some (k1, v1), Some (k2, v2) -> k1 = k2 && v1 = v2
               | _ -> false))
         ops
-      && Simnet.Eventq.size q = Simnet.Eventq_boxed.size oracle)
+      && Simnet.Eventq.size q = Boxed_oracle.size oracle)
 
 let test_eventq_clear () =
   let q = Simnet.Eventq.create () in
@@ -1264,6 +1327,83 @@ let test_packet_digests () =
   Alcotest.(check (list (pair string string)))
     "digests" expected_packet_digests got
 
+(* ---------------- allocation ---------------- *)
+
+(* The zero-allocation fast path. Under the release profile the pooled
+   forwarding path and the structure-of-arrays queue allocate nothing
+   once warm; the 0.01 words of slack absorb warm-up residue only. *)
+let alloc_slack = 0.01
+
+(* A single feeder paces pool-allocated frames through a switch (BCN
+   and PAUSE off) into a releasing sink at just under line rate, so
+   each frame is one feed event plus one service completion. *)
+let test_forwarding_allocates_nothing () =
+  let pool = Simnet.Packet.Pool.create () in
+  let e = Simnet.Engine.create () in
+  let cfg =
+    {
+      (Simnet.Switch.default_config params ~cpid:1) with
+      Simnet.Switch.enable_bcn = false;
+      enable_pause = false;
+      pool = Some pool;
+    }
+  in
+  let sw = Simnet.Switch.create cfg ~control_out:(fun _ _ -> ()) in
+  Simnet.Switch.set_forward sw (fun _e pkt ->
+      Simnet.Packet.Pool.release pool pkt);
+  let gap =
+    1.05 *. float_of_int Simnet.Packet.data_frame_bits
+    /. cfg.Simnet.Switch.capacity
+  in
+  let seq = ref 0 in
+  let rec feed e =
+    let pkt =
+      Simnet.Packet.Pool.alloc_data pool ~seq:!seq ~now:(Simnet.Engine.now e)
+        ~flow:0 ~rrt:None
+    in
+    incr seq;
+    Simnet.Switch.receive sw e pkt;
+    Simnet.Engine.schedule e ~delay:gap feed
+  in
+  Simnet.Engine.schedule e ~delay:0. feed;
+  let warm = 2048 and frames = 20_000 in
+  Simnet.Engine.run ~until:(float_of_int warm *. gap) e;
+  let n0 = !seq in
+  let w0 = Gc.minor_words () in
+  Simnet.Engine.run ~until:(float_of_int (warm + frames) *. gap) e;
+  let words = (Gc.minor_words () -. w0) /. float_of_int (!seq - n0) in
+  if words > alloc_slack then
+    Alcotest.failf "pooled forwarding allocates %.4f minor words/frame" words
+
+(* One op = one push plus its pop_min, over 4096 pseudo-random keys.
+   The keys are pushed from an index loop: [Array.iter] over a float
+   array would box each key before the queue sees it. *)
+let test_eventq_allocates_nothing () =
+  let n = 4096 and rounds = 50 in
+  let keys = Array.make n 0. in
+  let state = ref 123456789 in
+  for i = 0 to n - 1 do
+    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+    keys.(i) <- float_of_int !state
+  done;
+  let q = Simnet.Eventq.create () in
+  let round () =
+    for i = 0 to n - 1 do
+      Simnet.Eventq.push q keys.(i) 0
+    done;
+    while not (Simnet.Eventq.is_empty q) do
+      ignore (Simnet.Eventq.pop_min q : int)
+    done
+  in
+  round ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    round ()
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int (n * rounds) in
+  if words > alloc_slack then
+    Alcotest.failf "Eventq push + pop_min allocates %.4f minor words/op" words
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -1414,5 +1554,12 @@ let () =
         [
           Alcotest.test_case "seven models + v1 fixture" `Quick
             test_packet_digests;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "pooled forwarding, BCN and PAUSE off" `Quick
+            test_forwarding_allocates_nothing;
+          Alcotest.test_case "eventq push + pop_min" `Quick
+            test_eventq_allocates_nothing;
         ] );
     ]
