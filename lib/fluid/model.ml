@@ -13,9 +13,18 @@ let of_xy p (v : Vec2.t) =
   ( v.Vec2.x +. p.Params.q0,
     (v.Vec2.y +. p.Params.capacity) /. float_of_int p.Params.n_flows )
 
+type field = { a : float; b : float; k : float; c : float }
+
+let field p =
+  { a = Params.a p; b = Params.b p; k = Params.k p; c = p.Params.capacity }
+
+let[@inline] accel f x y =
+  let lin = x +. (f.k *. y) in
+  if -.lin >= 0. then -.f.a *. lin else -.f.b *. (y +. f.c) *. lin
+
 let normalized_system p =
-  let a = Params.a p and b = Params.b p and k = Params.k p in
-  let c = p.Params.capacity in
+  let f = field p in
+  let a = f.a and b = f.b and k = f.k and c = f.c in
   let sw (v : Vec2.t) = -.(v.Vec2.x +. (k *. v.Vec2.y)) in
   (* The in-place and batched right-hand sides mirror the closures
      expression for expression ([lin] is the shared subexpression
@@ -23,10 +32,9 @@ let normalized_system p =
      are bit-exact), so the fast solver paths produce the same bits as
      the closure dispatch [if sigma >= 0 then pos else neg]. *)
   let rhs (y : float array) (dst : float array) =
-    let lin = y.(0) +. (k *. y.(1)) in
-    dst.(0) <- y.(1);
-    dst.(1) <-
-      (if -.lin >= 0. then -.a *. lin else -.b *. (y.(1) +. c) *. lin)
+    let y0 = y.(0) and y1 = y.(1) in
+    dst.(0) <- y1;
+    dst.(1) <- accel f y0 y1
   in
   let batch (bt : Ode.Batch.t) xs ys dxs dys =
     let n = bt.Ode.Batch.n in

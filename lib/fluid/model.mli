@@ -28,6 +28,17 @@ val normalized_system : Params.t -> Phaseplane.System.t
     [y' = −b(y + C)(x + ky)] in the decrease region. The switching
     function is [sigma]. *)
 
+type field = { a : float; b : float; k : float; c : float }
+(** The constants of eqn (8), unboxed in one flat record. *)
+
+val field : Params.t -> field
+
+val accel : field -> float -> float -> float
+(** [accel f x y] is [y'] of eqn (8) at [(x, y)], with [lin = x + k·y]:
+    [−a·lin] when [−lin >= 0], else [−b·(y + C)·lin]. It is the single
+    copy of that expression: {!normalized_system}'s in-place [rhs] and
+    {!Stability.first_excursion}'s kernel inline it. *)
+
 val start_point : Params.t -> Numerics.Vec2.t
 (** [(−q0, 0)] — the canonical initial point of §IV.C (end of warm-up). *)
 

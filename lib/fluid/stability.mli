@@ -30,19 +30,22 @@ type verdict = {
           [None] when the case needs extrema that do not exist *)
 }
 
-val first_excursion :
-  ?t_max:float -> ?solver:Phaseplane.Trajectory.solver -> Params.t ->
-  float * float
+val first_excursion : ?t_max:float -> Params.t -> float * float
 (** [(max x, min x)] of the nonlinear system (8) launched from
     [(−q0, 0)] and integrated to [t_max]: [max x] over the whole run,
     and [min x] from the second switching-line crossing to [t_max] —
     from the first crossing when there is only one, over the whole run
     when there is none. The default horizon is 12 periods of the slower
-    subsystem; the default solver is [Adaptive (1e-9, 1e-12)]. The run
-    is folded as it goes: no trajectory is kept. *)
+    subsystem. The run is Dormand–Prince 5(4) at rtol [1e-9], atol
+    [1e-12], in one fused loop: the right-hand side, the step controller
+    and the fold over accepted samples are inline, no trajectory is kept
+    and the allocation does not grow with the horizon. Its samples carry
+    the bits of [Ode.solve (Adaptive (1e-9, 1e-12))] on
+    {!Model.normalized_system}. Raises [Invalid_argument] when [t_max]
+    is not finite or not positive, and [Failure] when the step budget
+    ({!Numerics.Ode.max_steps}) runs out. *)
 
-val analyze :
-  ?t_max:float -> ?solver:Phaseplane.Trajectory.solver -> Params.t -> verdict
+val analyze : ?t_max:float -> Params.t -> verdict
 
 val proposition2 : Params.t -> bool option
 (** Case-1 criterion: [max¹x < B − q0] and [min¹x > −q0].

@@ -70,6 +70,14 @@ type solver =
   | Adaptive of float * float
       (** Dormand–Prince 5(4) with PI-style step control: rtol, atol *)
 
+val h_min : float
+(** Smallest step the adaptive solvers take ([1e-14]); a step at most
+    [1.0001·h_min] is accepted whatever its error. *)
+
+val max_steps : int
+(** Step attempts (accepted or rejected) an adaptive run may make
+    before it fails with ["max_steps exhausted"]. *)
+
 val state_at : solution -> float -> float array
 (** [state_at sol t] linearly interpolates the stored trajectory at time
     [t]. Clamps outside the stored range. *)

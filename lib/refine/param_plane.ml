@@ -6,9 +6,13 @@ let gains p ~x ~y =
   Fluid.Params.with_gains ~gi:(x /. (ru *. n)) ~gd:y p
 
 let verdicts ?t_max ?(jobs = 1) apply pts =
+  (* [Stability.analyze]'s [strongly_stable], without the case
+     classification and flow map it would compute beside it *)
   let task (x, y) =
-    (Fluid.Stability.analyze ?t_max (apply ~x ~y)).Fluid.Stability
-      .strongly_stable
+    let p = apply ~x ~y in
+    let mx, mn = Fluid.Stability.first_excursion ?t_max p in
+    p.Fluid.Params.buffer -. p.Fluid.Params.q0 -. mx > 0.
+    && mn +. p.Fluid.Params.q0 > 0.
   in
   if jobs <= 1 || Array.length pts <= 1 then Array.map task pts
   else

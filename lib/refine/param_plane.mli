@@ -1,7 +1,8 @@
 (** Adaptive tracing of stability regions in parameter space — the
     phase-plane basin figures' [(a, b)] normalized-gain plane, or any
     other two-parameter slice, with the nonlinear strong-stability
-    verdict ({!Fluid.Stability.analyze}) at each probed point. *)
+    verdict ({!Fluid.Stability.analyze}'s [strongly_stable], from
+    {!Fluid.Stability.first_excursion} alone) at each probed point. *)
 
 type store = (string -> bool option) * (string -> bool -> unit)
 

@@ -3,8 +3,9 @@
    (where corner disagreement detects the boundary exactly at every
    stride), jobs byte-identity, warm-memo zero-backend-calls (Hashtbl
    and content-addressed store), the streaming Transient.measure and
-   Stability.first_excursion against reference copies of their
-   recorded implementations, the streaming solver sink against the
+   the fused Stability.first_excursion and Stability.analyze against
+   reference copies of their recorded implementations, the streaming
+   solver sink against the
    recording one on the fluid model,
    the Safe_region.render extent-label fix, and Resilience.scan. *)
 
@@ -256,11 +257,11 @@ let reference_horizon p =
        (time_scale Fluid.Linearized.Increase)
        (time_scale Fluid.Linearized.Decrease)
 
-let reference_first_excursion ?t_max ?solver p =
+let reference_first_excursion ?t_max p =
   let t_max = match t_max with Some t -> t | None -> reference_horizon p in
   let sys = Fluid.Model.normalized_system p in
   let tr =
-    Phaseplane.Trajectory.integrate ?solver ~t_max sys (Fluid.Model.start_point p)
+    Phaseplane.Trajectory.integrate ~t_max sys (Fluid.Model.start_point p)
   in
   let xs = Phaseplane.Trajectory.x_series tr in
   let crossings = tr.Phaseplane.Trajectory.switch_crossings in
@@ -279,6 +280,58 @@ let reference_first_excursion ?t_max ?solver p =
   in
   (max_x, min_x)
 
+(* reference copy of the composed [Stability.analyze]: one
+   classification and one flow-map trace for the analytic extrema, then
+   Propositions 2-4 as they were written, each classifying (and
+   Proposition 2 tracing) again; the numeric extrema are passed in *)
+let reference_analyze p (numeric_max, numeric_min) =
+  let module P = Fluid.Params in
+  let module C = Fluid.Cases in
+  let prop2 p =
+    match C.classify p with
+    | C.Case1 -> (
+        match Fluid.Flowmap.excursions p with
+        | Some mx, Some mn -> Some (mx < p.P.buffer -. p.P.q0 && mn > -.p.P.q0)
+        | Some mx, None -> Some (mx < p.P.buffer -. p.P.q0)
+        | None, _ -> Some true)
+    | C.Case2 | C.Case3 | C.Case4 | C.Case5 -> None
+  in
+  let prop3 p =
+    match C.classify p with
+    | C.Case2 -> (
+        match Fluid.Flowmap.first_overshoot p with
+        | Some mx -> Some (mx < p.P.buffer -. p.P.q0)
+        | None -> Some true)
+    | C.Case1 | C.Case3 | C.Case4 | C.Case5 -> None
+  in
+  let prop4 p =
+    match C.classify p with
+    | C.Case3 | C.Case4 | C.Case5 -> Some true
+    | C.Case1 | C.Case2 -> None
+  in
+  let case = C.classify p in
+  let analytic_max, analytic_min = Fluid.Flowmap.excursions p in
+  let overflow_margin = p.P.buffer -. p.P.q0 -. numeric_max in
+  let underflow_margin = numeric_min +. p.P.q0 in
+  let analytic_strongly_stable =
+    match case with
+    | C.Case1 -> prop2 p
+    | C.Case2 -> prop3 p
+    | C.Case3 | C.Case4 | C.Case5 -> prop4 p
+  in
+  ( {
+      Fluid.Stability.case;
+      analytic_max;
+      analytic_min;
+      numeric_max;
+      numeric_min;
+      overflow_margin;
+      underflow_margin;
+      strongly_stable = overflow_margin > 0. && underflow_margin > 0.;
+      analytic_strongly_stable;
+    },
+    (prop2 p, prop3 p, prop4 p) )
+
 (* switch-crossing times of the default-solver run to [t_max] *)
 let switch_times ~t_max p =
   let tr =
@@ -289,56 +342,111 @@ let switch_times ~t_max p =
     (fun c -> c.Phaseplane.Trajectory.ct)
     tr.Phaseplane.Trajectory.switch_crossings
 
+(* [first_excursion] against the recorded reference; [analyze] and the
+   public propositions against the composed reference; and the gain
+   plane's verdict-only path against [analyze] *)
+let check_points points =
+  let refs =
+    List.map
+      (fun (label, p) ->
+        let fe = reference_first_excursion p in
+        marshal_eq label (Fluid.Stability.first_excursion p) fe;
+        let verdict, props = reference_analyze p fe in
+        marshal_eq (label ^ ": analyze") (Fluid.Stability.analyze p) verdict;
+        marshal_eq
+          (label ^ ": propositions 2-4")
+          Fluid.Stability.(proposition2 p, proposition3 p, proposition4 p)
+          props;
+        verdict.Fluid.Stability.strongly_stable)
+      points
+  in
+  let params = Array.of_list (List.map snd points) in
+  Alcotest.(check (list bool))
+    "Param_plane.verdicts = analyze's strongly_stable" refs
+    (Array.to_list
+       (Refine.Param_plane.verdicts
+          (fun ~x ~y:_ -> params.(int_of_float x))
+          (Array.mapi (fun i _ -> (float_of_int i, 0.)) params)));
+  refs
+
+let gain_point p (fx, fy) =
+  ( Printf.sprintf "gains (%ga, %gb)" fx fy,
+    Refine.Param_plane.gains p ~x:(fx *. Fluid.Params.a p)
+      ~y:(fy *. Fluid.Params.b p) )
+
+(* horizons ending before the first switching and between the first
+   two, so the zero- and one-crossing fallbacks are exercised *)
+let check_short_horizons (label, p) =
+  let t1, t2 =
+    match switch_times ~t_max:(reference_horizon p) p with
+    | t1 :: t2 :: _ -> (t1, t2)
+    | _ -> Alcotest.fail (label ^ ": run switches fewer than twice")
+  in
+  List.iter
+    (fun (hlabel, t_max, n) ->
+      let hlabel = label ^ ", " ^ hlabel in
+      Alcotest.(check int)
+        (hlabel ^ ": switchings in the reference run")
+        n
+        (List.length (switch_times ~t_max p));
+      marshal_eq hlabel
+        (Fluid.Stability.first_excursion ~t_max p)
+        (reference_first_excursion ~t_max p))
+    [ ("no switching", 0.5 *. t1, 0); ("one switching", 0.5 *. (t1 +. t2), 1) ]
+
 let test_excursion_differential () =
   let p = Fluid.Params.default in
+  (* the gain domain of figures --adaptive, 0.25a..8a x 0.25b..8b *)
   let gain_corners =
-    (* the gain domain of figures --adaptive, 0.25a..8a x 0.25b..8b *)
-    let a = Fluid.Params.a p and b = Fluid.Params.b p in
-    List.map
-      (fun (fx, fy) ->
-        ( Printf.sprintf "gains (%ga, %gb)" fx fy,
-          Refine.Param_plane.gains p ~x:(fx *. a) ~y:(fy *. b) ))
+    List.map (gain_point p)
       [ (0.25, 0.25); (0.25, 8.); (8., 0.25); (8., 8.); (4.125, 4.125) ]
   in
-  let points =
+  let c2 = Dcecc_core.Figures.case2_params in
+  let q0 = c2.Fluid.Params.q0 in
+  let o2 =
+    match Fluid.Flowmap.first_overshoot c2 with
+    | Some mx when mx > 0. -> mx
+    | _ -> Alcotest.fail "Case 2 example has no positive overshoot"
+  in
+  let named =
     [
       ("default", p);
       ( "Theorem-1 buffer",
         Fluid.Params.with_buffer p (1.1 *. Fluid.Criterion.required_buffer p) );
       ("gd = 1", Fluid.Params.with_gains ~gd:1. p);
       ("w = 8000", Fluid.Params.with_sampling ~w:8000. p);
+      ("Case 2", c2);
+      (* its analytic overshoot past the buffer: Proposition 3 fails *)
+      ( "Case 2, overflowing buffer",
+        Fluid.Params.with_buffer c2 (q0 +. (0.5 *. o2)) );
       ("Case 3", Dcecc_core.Figures.case3_params);
       ("Case 4", Dcecc_core.Figures.case4_params);
     ]
-    @ gain_corners
   in
+  ignore (check_points (named @ gain_corners));
+  List.iter check_short_horizons (("default", p) :: gain_corners)
+
+(* 500 seeded points, log-uniform over 0.2a..9.6a x 0.2b..9.6b (the
+   bench jitters the 0.25..8 gain domain by 0.8..1.2), and its four
+   corners *)
+let test_excursion_gain_plane () =
+  let p = Fluid.Params.default in
+  let rng = Random.State.make [| 27 |] in
+  let factor () = 0.2 *. Float.exp (Random.State.float rng (Float.log 48.)) in
+  let corners = [ (0.2, 0.2); (0.2, 9.6); (9.6, 0.2); (9.6, 9.6) ] in
+  let random = List.init 500 (fun _ -> (factor (), factor ())) in
+  let stable = check_points (List.map (gain_point p) (corners @ random)) in
+  Alcotest.(check (pair bool bool))
+    "both verdicts met" (true, true)
+    (List.mem true stable, List.mem false stable)
+
+let test_excursion_rejects_horizon () =
   List.iter
-    (fun (label, p) ->
-      marshal_eq label
-        (Fluid.Stability.first_excursion p)
-        (reference_first_excursion p))
-    points;
-  let solver = Numerics.Ode.Fixed (Numerics.Ode.Rk4, 1e-6) in
-  marshal_eq "default, Fixed (Rk4, 1e-6), 2 ms"
-    (Fluid.Stability.first_excursion ~solver ~t_max:2e-3 p)
-    (reference_first_excursion ~solver ~t_max:2e-3 p);
-  (* horizons ending before the first switching and between the first
-     two, so the zero- and one-crossing fallbacks are exercised *)
-  let t1, t2 =
-    match switch_times ~t_max:(reference_horizon p) p with
-    | t1 :: t2 :: _ -> (t1, t2)
-    | _ -> Alcotest.fail "default run switches fewer than twice"
-  in
-  List.iter
-    (fun (label, t_max, n) ->
-      Alcotest.(check int)
-        (label ^ ": switchings in the reference run")
-        n
-        (List.length (switch_times ~t_max p));
-      marshal_eq label
-        (Fluid.Stability.first_excursion ~t_max p)
-        (reference_first_excursion ~t_max p))
-    [ ("no switching", 0.5 *. t1, 0); ("one switching", 0.5 *. (t1 +. t2), 1) ]
+    (fun t_max ->
+      match Fluid.Stability.first_excursion ~t_max Fluid.Params.default with
+      | _ -> Alcotest.failf "t_max = %g accepted" t_max
+      | exception Invalid_argument _ -> ())
+    [ nan; infinity; neg_infinity; 0.; -1. ]
 
 (* The fold keeps no per-step state: a 16x longer run allocates the
    same minor words as a short one. *)
@@ -580,6 +688,10 @@ let () =
             test_measure_allocation;
           Alcotest.test_case "first_excursion = reference (bits)" `Quick
             test_excursion_differential;
+          Alcotest.test_case "first_excursion = reference, gain plane (bits)"
+            `Quick test_excursion_gain_plane;
+          Alcotest.test_case "first_excursion rejects bad horizons" `Quick
+            test_excursion_rejects_horizon;
           Alcotest.test_case "first_excursion allocation flat" `Quick
             test_excursion_allocation;
           Alcotest.test_case "scan solver = recording solver (bits)" `Quick
